@@ -268,10 +268,10 @@ class CounterexampleFinder:
             else max(4 * time_limit, 10.0)
         )
 
-        # One lookahead-sensitive graph per finder: its skeleton memo and
-        # bounded successor LRU are shared across this finder's conflicts
-        # (including the nonunifying builder's path computations) and are
-        # released with the finder — nothing outlives it.
+        # One lookahead-sensitive graph per finder: its skeleton memo is
+        # shared across this finder's conflicts (including the nonunifying
+        # builder's path computations) and is released with the finder —
+        # nothing outlives it.
         self.graph = LookaheadSensitiveGraph(self.automaton)
         self.nonunifying = NonunifyingBuilder(self.automaton, graph=self.graph)
         self._earley = EarleyParser(self.grammar)

@@ -24,38 +24,33 @@ small; vertices are materialised lazily during the breadth-first search.
 Hot-path representation
 -----------------------
 
-The graph is never materialised as objects during the search. A BFS
-vertex is the plain tuple ``(state_id, item, lookahead_mask)`` — the
-lookahead is an int bitmask over the automaton's
-:class:`~repro.automaton.bitset.TerminalTable` — and two memo layers are
-shared across all the conflicts explained against one graph instance
-(one :class:`~repro.core.finder.CounterexampleFinder` lifetime):
+The graph is still the paper's; only the *search* runs over a
+projection of it. The BFS asks ``L`` one thing — does it hold the
+conflict terminal ``t``? — and that bit evolves without ``L``: a
+transition keeps it, and a production step from ``A -> α . B β`` sets
+it to ``t ∈ FIRST(β) or (β nullable and bit)``. So the BFS runs over
+tuples ``(state_id, item, bit)``, at most two per ``(state, item)``
+pair, and finds the same path as the BFS over full vertices: a class's
+successor classes and target test depend on the class alone, and the
+first member of a class the full BFS dequeues is the one that reaches
+every new successor class first (``docs/PERFORMANCE.md`` spells this
+out). The full sets of the returned edges are rebuilt by pushing
+``{$}`` forward along the path.
 
-* a *skeleton* per ``(state_id, item)``: the goto target, the advanced
-  item, and (for nonterminal dots) the production-step items plus the
-  precomputed ``(FIRST(β) mask, β nullable)`` follow parts. This is
-  conflict- and lookahead-independent, so it is a plain dict bounded by
-  the automaton's own size;
-* a bounded LRU over fully-expanded vertex successor lists keyed by the
-  full ``(state_id, item, mask)`` triple — conflicts of one automaton
-  revisit the same vertices near the start state constantly. Bounded
-  (mirroring ``lookups.reaching_pairs``) because distinct masks can in
-  principle multiply without limit on a long-lived graph; hits, misses
-  and evictions are exposed via :meth:`LookaheadSensitiveGraph.cache_info`
-  and the ``lasg.successors.*`` metrics counters.
-
-``lasg.vertices.materialized`` counts the vertices the BFS actually
-created; ``lasg.vertices.estimated_full`` records the size estimate of
-the *whole* graph (items × distinct lookahead sets), recorded once per
-graph so profiles show how much work laziness avoided.
-
+A lookahead-independent *skeleton* per ``(state_id, item)`` — goto
+target, advanced item, production-step items and the ``(FIRST(β) mask,
+β nullable)`` follow parts — is memoized for the graph's lifetime (one
+:class:`~repro.core.finder.CounterexampleFinder`), bounded by the
+automaton's size. ``lasg.vertices.materialized`` counts the vertices the
+BFS created; ``lasg.vertices.estimated_full`` records, once per graph,
+the size of the *whole* graph (items × distinct lookahead sets).
 :class:`LASGVertex`/:class:`LASGEdge` objects are only built for the
-final reconstructed path and by the public :meth:`successors` API.
+final path and by the public :meth:`successors` API.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -67,6 +62,9 @@ from repro.perf import metrics
 from repro.robust.budget import Budget
 from repro.robust.errors import PathNotFoundError
 from repro.robust.faults import fire
+
+#: A BFS vertex: ``(state_id, item, conflict terminal in L?)``.
+_Key = tuple[int, Item, bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,19 +105,14 @@ class LookaheadSensitiveGraph:
     """Lazy lookahead-sensitive graph over an LALR automaton.
 
     One instance is meant to live exactly as long as one
-    :class:`~repro.core.finder.CounterexampleFinder`: its memo tables
-    are shared across that finder's conflicts and released with it.
+    :class:`~repro.core.finder.CounterexampleFinder`: its skeleton memo
+    is shared across that finder's conflicts and released with it.
     """
 
-    def __init__(
-        self, automaton: LALRAutomaton, max_cache_entries: int = 32_768
-    ) -> None:
-        if max_cache_entries < 1:
-            raise ValueError("max_cache_entries must be positive")
+    def __init__(self, automaton: LALRAutomaton) -> None:
         self.automaton = automaton
         self.analysis = automaton.analysis
         self.grammar = automaton.grammar
-        self.max_cache_entries = max_cache_entries
         #: (state_id, item) -> (goto_target_id, advanced_item,
         #: step_items, first_mask, nullable) | None for reduce items.
         #: Conflict-independent, bounded by the automaton size.
@@ -127,15 +120,6 @@ class LookaheadSensitiveGraph:
             tuple[int, Item],
             tuple[int, Item, tuple[Item, ...], int, bool] | None,
         ] = {}
-        #: Bounded LRU over expanded successor lists, keyed by the full
-        #: vertex triple; shared across this graph's conflicts.
-        self._successor_cache: OrderedDict[
-            tuple[int, Item, int],
-            tuple[tuple[tuple[int, Item, int], Symbol | None], ...],
-        ] = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_evictions = 0
         self._estimate_recorded = False
 
     # ------------------------------------------------------------------ #
@@ -149,8 +133,11 @@ class LookaheadSensitiveGraph:
         """All outgoing edges of *vertex*, created on demand.
 
         Object-level API (tests, tooling, the paper's definitions in
-        executable form). :meth:`shortest_path` expands the same edges —
-        in the same order — through the tuple-level fast path instead.
+        executable form). :meth:`shortest_path` follows the same edges —
+        in the same order: the transition edge first, then production
+        steps in declaration order — over the bit projection instead.
+        BFS tie-breaking (and therefore which of several equally-short
+        paths a report shows) depends on this order staying fixed.
         """
         item = vertex.item
         symbol = item.next_symbol
@@ -209,70 +196,13 @@ class LookaheadSensitiveGraph:
         self._skeletons[key] = skeleton
         return skeleton
 
-    def _expand(
-        self, state_id: int, item: Item, mask: int
-    ) -> tuple[tuple[tuple[int, Item, int], Symbol | None], ...]:
-        """Successor ``((state_id, item, mask), symbol)`` pairs of a vertex.
-
-        Same edges, same order, as :meth:`successors`: the transition
-        edge first, then production steps in declaration order — BFS
-        tie-breaking (and therefore which of several equally-short paths
-        a report shows) depends on this order staying fixed. Memoized in
-        the bounded cross-conflict LRU.
-        """
-        cache_key = (state_id, item, mask)
-        cache = self._successor_cache
-        cached = cache.get(cache_key)
-        if cached is not None:
-            cache.move_to_end(cache_key)
-            self._cache_hits += 1
-            metrics.count("lasg.successors.hit")
-            return cached
-        self._cache_misses += 1
-        metrics.count("lasg.successors.miss")
-        skeleton = self._skeleton(state_id, item)
-        if skeleton is None:
-            expanded: tuple = ()
-        else:
-            target_id, advanced, step_items, first_mask, nullable = skeleton
-            symbol = item.next_symbol
-            edges = [((target_id, advanced, mask), symbol)]
-            if step_items:
-                follow = first_mask | mask if nullable else first_mask
-                edges.extend(
-                    ((state_id, step_item, follow), None)
-                    for step_item in step_items
-                )
-            expanded = tuple(edges)
-        cache[cache_key] = expanded
-        if len(cache) > self.max_cache_entries:
-            cache.popitem(last=False)
-            self._cache_evictions += 1
-            metrics.count("lasg.successors.evicted")
-        return expanded
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss/eviction counters and size of the successor LRU."""
-        return {
-            "entries": len(self._successor_cache),
-            "max_entries": self.max_cache_entries,
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "evictions": self._cache_evictions,
-            "skeletons": len(self._skeletons),
-        }
-
-    def clear_successor_cache(self) -> None:
-        """Drop the memoized successor lists (counters kept)."""
-        self._successor_cache.clear()
-
     def _record_estimate(self) -> None:
         """Record the whole-graph size estimate once per graph instance.
 
         The eager construction this module replaced would materialise up
         to ``(state, item) pairs × distinct lookahead sets`` vertices;
         comparing that against ``lasg.vertices.materialized`` in a
-        profile shows what laziness saved.
+        profile shows what laziness and the bit projection saved.
         """
         if self._estimate_recorded:
             return
@@ -322,40 +252,43 @@ class LookaheadSensitiveGraph:
                 state_id=conflict.state_id,
             )
 
-        start_key = (0, start_item, automaton.terminal_bit(END_OF_INPUT))
-        #: vertex key -> (parent key, edge symbol or None)
-        parents: dict[
-            tuple[int, Item, int], tuple[tuple[int, Item, int], Symbol | None]
-        ] = {}
-        queue: deque[tuple[int, Item, int]] = deque([start_key])
-        seen: set[tuple[int, Item, int]] = {start_key}
-        expand = self._expand
-        materialized = 1
+        # A key is (state_id, item, conflict terminal in L?): the bit
+        # projection of the paper's vertex (see the module docstring).
+        end_bit = automaton.terminal_bit(END_OF_INPUT)
+        start_key = (0, start_item, bool(end_bit & terminal_bit))
+        #: every vertex seen -> (parent key, edge symbol or None) | None
+        parents: dict[_Key, tuple[_Key, Symbol | None] | None] = {start_key: None}
+        queue: deque[_Key] = deque([start_key])
+        skeleton_of = self._skeleton
 
         while queue:
             if budget is not None:
                 budget.charge()
                 budget.poll("lasg")
             key = queue.popleft()
-            state_id, item, mask = key
-            if (
-                state_id == target_state_id
-                and item == target_item
-                and mask & terminal_bit
-            ):
-                metrics.count("lasg.vertices.materialized", materialized)
+            state_id, item, bit = key
+            if bit and state_id == target_state_id and item == target_item:
+                metrics.count("lasg.vertices.materialized", len(parents))
                 return self._reconstruct(parents, key)
-            for successor, _symbol in expand(state_id, item, mask):
-                if successor in seen:
+            skeleton = skeleton_of(state_id, item)
+            if skeleton is None:
+                continue
+            target_id, advanced, step_items, first_mask, nullable = skeleton
+            successor = (target_id, advanced, bit)
+            if successor not in parents and (target_id, advanced) in allowed_pairs:
+                parents[successor] = (key, item.next_symbol)
+                queue.append(successor)
+            if not step_items:
+                continue
+            step_bit = bool(first_mask & terminal_bit) or (nullable and bit)
+            for step_item in step_items:
+                successor = (state_id, step_item, step_bit)
+                if successor in parents or (state_id, step_item) not in allowed_pairs:
                     continue
-                if (successor[0], successor[1]) not in allowed_pairs:
-                    continue
-                seen.add(successor)
-                materialized += 1
-                parents[successor] = (key, _symbol)
+                parents[successor] = (key, None)
                 queue.append(successor)
 
-        metrics.count("lasg.vertices.materialized", materialized)
+        metrics.count("lasg.vertices.materialized", len(parents))
         raise PathNotFoundError(
             f"no lookahead-sensitive path to conflict {conflict} — "
             "the automaton and its lookahead sets disagree",
@@ -365,34 +298,34 @@ class LookaheadSensitiveGraph:
         )
 
     def _reconstruct(
-        self,
-        parents: dict[
-            tuple[int, Item, int], tuple[tuple[int, Item, int], Symbol | None]
-        ],
-        key: tuple[int, Item, int],
+        self, parents: dict[_Key, tuple[_Key, Symbol | None] | None], key: _Key
     ) -> list[LASGEdge]:
-        """Materialise the edge objects for the discovered path only."""
-        chain: list[tuple[tuple[int, Item, int], Symbol | None, tuple[int, Item, int]]]
-        chain = []
+        """Materialise the edge objects for the discovered path only.
+
+        The full lookahead sets come back by pushing ``{$}`` forward
+        along the path: transitions keep ``L``, production steps apply
+        the precise follow ``FIRST(β) ∪ (L if β nullable)``.
+        """
+        chain: list[tuple[_Key, Symbol | None]] = []
         current = key
-        while current in parents:
-            parent_key, symbol = parents[current]
-            chain.append((parent_key, symbol, current))
-            current = parent_key
+        while (link := parents[current]) is not None:
+            chain.append((current, link[1]))
+            current = link[0]
         chain.reverse()
         view = self.automaton.terminal_table.view
-        vertices: dict[tuple[int, Item, int], LASGVertex] = {}
-
-        def vertex_of(k: tuple[int, Item, int]) -> LASGVertex:
-            vertex = vertices.get(k)
-            if vertex is None:
-                vertex = vertices[k] = LASGVertex(k[0], k[1], view(k[2]))
-            return vertex
-
-        return [
-            LASGEdge(vertex_of(source), symbol, vertex_of(target))
-            for source, symbol, target in chain
-        ]
+        mask = self.automaton.terminal_bit(END_OF_INPUT)
+        source = LASGVertex(current[0], current[1], view(mask))
+        edges: list[LASGEdge] = []
+        for (state_id, item, _bit), symbol in chain:
+            if symbol is None:
+                _, _, _, first_mask, nullable = self._skeleton(
+                    source.state_id, source.item
+                )
+                mask = first_mask | mask if nullable else first_mask
+            target = LASGVertex(state_id, item, view(mask))
+            edges.append(LASGEdge(source, symbol, target))
+            source = target
+        return edges
 
 
 def path_states(path: list[LASGEdge]) -> frozenset[int]:

@@ -72,7 +72,7 @@ class NonunifyingBuilder:
         graph: LookaheadSensitiveGraph | None = None,
     ) -> None:
         """*graph* lets a caller share one lookahead-sensitive graph (and
-        its cross-conflict memo tables) — the finder passes its own."""
+        its cross-conflict skeleton memo) — the finder passes its own."""
         self.automaton = automaton
         self.analysis = automaton.analysis
         self.grammar = automaton.grammar

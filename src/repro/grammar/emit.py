@@ -56,12 +56,12 @@ def dump_grammar(grammar: Grammar) -> str:
         lines.append(f"%algorithm {grammar.table_algorithm}")
 
     # Re-emit precedence levels lowest-rank first, grouping terminals on
-    # one line per level.
+    # one line per level. Every declared terminal counts, including
+    # tokens used only as ``%prec`` targets (``%nonassoc NOELSE``), which
+    # never appear in a production body and so are not grammar terminals.
     levels: dict[int, tuple[Associativity, list[Terminal]]] = {}
-    for terminal in grammar.terminals:
+    for terminal in grammar.precedence.declared_terminals():
         level = grammar.precedence.level_of(terminal)
-        if level is None:
-            continue
         entry = levels.setdefault(level.rank, (level.associativity, []))
         entry[1].append(terminal)
     for rank in sorted(levels):

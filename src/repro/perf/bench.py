@@ -89,8 +89,6 @@ COUNTERS = [
     "search.configurations.explored",
     "lasg.vertices.materialized",
     "lasg.vertices.estimated_full",
-    "lasg.successors.hit",
-    "lasg.successors.miss",
 ]
 
 

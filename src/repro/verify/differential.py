@@ -39,6 +39,8 @@ Static-analysis invariants tying the SR pair walk
 
 * every conflict the walk proves ``ambiguous`` carries a witness
   sentence for which the Earley oracle finds two distinct derivations;
+* no conflict the walk proves ``unambiguous`` has a unifying
+  counterexample that the finder's Earley verification accepts;
 * a grammar whose conflicts are **all** proved ``unambiguous`` (with no
   precedence-resolved table entries hiding further conflicts) never
   yields an ambiguous sampled sentence.
@@ -56,6 +58,26 @@ from repro.grammar import END_OF_INPUT, Grammar, Nonterminal, Symbol, Terminal
 from repro.parsing.earley import EarleyParser
 from repro.parsing.glr import GLRParser, TooManyParses
 from repro.parsing.runtime import LRParser, ParseError
+
+#: Unifying-search seconds per conflict the walk proves ``unambiguous``
+#: (a search there should never succeed; running out of time is fine).
+UNAMBIGUOUS_SEARCH_LIMIT = 0.3
+
+
+def walk_search_contradictions(verdicts, reports) -> list:
+    """Conflicts the SR walk proves ``unambiguous`` that a finder report
+    explains with a verified unifying counterexample — impossible unless
+    the walk or the search is wrong."""
+    from repro.analysis import AmbiguityVerdict
+
+    return [
+        report.conflict
+        for report in reports
+        if report.verified
+        and report.counterexample is not None
+        and report.counterexample.unifying
+        and verdicts[report.conflict].verdict is AmbiguityVerdict.UNAMBIGUOUS
+    ]
 
 
 @dataclass(frozen=True)
@@ -403,7 +425,9 @@ class DifferentialOracle:
         """The SR pair walk must never contradict the Earley oracle.
 
         Every ``ambiguous`` verdict's witness is re-counted by Earley
-        (< 2 derivations is a disagreement), and when *every* conflict
+        (< 2 derivations is a disagreement), every ``unambiguous``
+        conflict is searched for a unifying counterexample (a verified
+        one is a disagreement), and when *every* conflict
         is proved ``unambiguous`` — and no precedence-resolved entries
         hide further nondeterminism — no sampled sentence may be
         ambiguous. Walker exceptions propagate: the fuzz harness
@@ -413,6 +437,7 @@ class DifferentialOracle:
         if not conflicts:
             return
         from repro.analysis import AmbiguityVerdict, analyze_conflicts
+        from repro.core.finder import CounterexampleFinder
         from repro.parsing.earley import DerivationBudgetExceeded
 
         verdicts = analyze_conflicts(self.automaton)
@@ -443,10 +468,28 @@ class DifferentialOracle:
                         f"{count}",
                     )
                 )
-        if any(
-            verdict.verdict is not AmbiguityVerdict.UNAMBIGUOUS
-            for verdict in verdicts.values()
-        ):
+        proven = [
+            conflict
+            for conflict, verdict in verdicts.items()
+            if verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS
+        ]
+        if proven:
+            finder = CounterexampleFinder(
+                self.automaton,
+                time_limit=UNAMBIGUOUS_SEARCH_LIMIT,
+                cumulative_limit=UNAMBIGUOUS_SEARCH_LIMIT * len(proven),
+                verify=True,
+            )
+            explained = map(finder.explain, proven)
+            for conflict in walk_search_contradictions(verdicts, explained):
+                report.disagreements.append(
+                    Disagreement(
+                        "unambiguous-despite-unifying-counterexample",
+                        f"the SR walk proves [{conflict}] unambiguous but "
+                        "the finder verifies a unifying counterexample",
+                    )
+                )
+        if len(proven) < len(verdicts):
             return
         if self.automaton.tables.resolved_count:
             report.skipped.append(

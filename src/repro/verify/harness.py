@@ -13,10 +13,11 @@ One fuzz iteration closes the whole loop the library exists for:
    independently re-proves each counterexample.
 
 Anything that goes wrong is *classified* — validator rejection, oracle
-disagreement, finder timeout, or crash — and recorded together with the
-failing grammar, shrunk to a (locally) minimal production set and
-re-emitted through the textual DSL so the report alone reproduces the
-bug. Timeouts are informational; the other three kinds are fatal.
+disagreement, walk/search contradiction, finder timeout, or crash — and
+recorded together with the failing grammar, shrunk to a (locally)
+minimal production set and re-emitted through the textual DSL so the
+report alone reproduces the bug. Timeouts are informational; the other
+kinds are fatal.
 
 Per-iteration seeds are ``base_seed + index``, so any single failure
 replays with ``repro-conflicts --fuzz 1 --seed <seed>``.
@@ -33,7 +34,7 @@ from repro.core.finder import CounterexampleFinder
 from repro.grammar import Grammar, dump_grammar
 from repro.grammar.errors import GrammarError
 from repro.robust.faults import registry as fault_registry
-from repro.verify.differential import DifferentialOracle
+from repro.verify.differential import DifferentialOracle, walk_search_contradictions
 from repro.verify.fuzz import FuzzConfig, GrammarFuzzer
 from repro.verify.validate import CounterexampleValidator
 
@@ -43,6 +44,9 @@ class FailureKind(enum.Enum):
 
     VALIDATOR_REJECTION = "validator-rejection"
     ORACLE_DISAGREEMENT = "oracle-disagreement"
+    #: The SR pair walk proved a conflict ``unambiguous`` that the finder
+    #: explained with a verified unifying counterexample.
+    WALK_CONTRADICTION = "walk-contradiction"
     FINDER_TIMEOUT = "finder-timeout"
     CRASH = "crash"
 
@@ -233,7 +237,10 @@ class FuzzHarness:
             unambiguous/ambiguous/inconclusive verdicts; every
             ``ambiguous`` witness is re-proven by the independent
             validator (a rejection is a fatal campaign failure), and a
-            walker crash is fatal too (broken-walker canary).
+            walker crash is fatal too (broken-walker canary). A conflict
+            proved ``unambiguous`` that the finder explains with a
+            verified unifying counterexample is a fatal
+            walk/search contradiction.
         glr_check: Ask the validator for the GLR cross-check as well.
         lint_check: Run every static lint pass on each fuzzed grammar;
             any pass crash is classified as a fatal campaign failure
@@ -512,6 +519,14 @@ class FuzzHarness:
                     (FailureKind.CRASH, f"ambiguity walk raised {error!r}")
                 )
             else:
+                for conflict in walk_search_contradictions(verdicts, summary.reports):
+                    result.problems.append(
+                        (
+                            FailureKind.WALK_CONTRADICTION,
+                            f"conflict [{conflict}] proved unambiguous by the "
+                            "SR walk has a verified unifying counterexample",
+                        )
+                    )
                 for conflict, verdict in verdicts.items():
                     if verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS:
                         result.ambiguity_unambiguous += 1

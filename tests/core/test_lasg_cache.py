@@ -1,9 +1,11 @@
-"""Tests for the lazy LASG's successor memo and materialization counters.
+"""Tests for the lazy LASG's skeleton memo, counters and budget.
 
-The lookahead-sensitive graph is never built whole: vertices materialize
-on demand during the shortest-path search, and the expanded successor
-lists are memoized in a bounded LRU shared by every conflict explained
-through the same graph instance (the finder keeps one per automaton).
+The lookahead-sensitive graph is never built whole: the shortest-path
+BFS runs over ``(state, item, conflict-terminal bit)`` tuples, at most
+two per ``(state, item)`` pair that can reach the conflict item. The only
+memo is the per-``(state, item)`` skeleton, shared by every conflict
+explained through the same graph instance (the finder keeps one per
+automaton) and bounded by the automaton's size.
 """
 
 import pytest
@@ -11,7 +13,9 @@ import pytest
 from repro.automaton import build_lalr
 from repro.core import CounterexampleFinder
 from repro.core.lasg import LookaheadSensitiveGraph
+from repro.corpus.registry import get
 from repro.perf import metrics
+from repro.robust import Rung, Stage
 
 
 @pytest.fixture
@@ -21,48 +25,28 @@ def conflicted(figure1):
     return automaton
 
 
+def reaching_pairs(automaton, conflict):
+    return automaton.lookups.reaching_pairs(
+        automaton.states[conflict.state_id], conflict.reduce_item
+    )
+
+
 class TestSuccessorCache:
-    def test_cache_populates_and_is_shared_across_conflicts(self, conflicted):
-        graph = LookaheadSensitiveGraph(conflicted)
-        info = graph.cache_info()
-        assert info["entries"] == 0 and info["hits"] == 0
-
-        for conflict in conflicted.conflicts:
-            graph.shortest_path(conflict)
-        after_first = graph.cache_info()
-        assert after_first["entries"] > 0
-        assert after_first["misses"] > 0
-
-        # Re-explaining the same conflicts reuses the memo: only hits grow.
-        for conflict in conflicted.conflicts:
-            graph.shortest_path(conflict)
-        after_second = graph.cache_info()
-        assert after_second["misses"] == after_first["misses"]
-        assert after_second["hits"] > after_first["hits"]
-
-    def test_cache_is_bounded_with_lru_eviction(self, conflicted):
-        graph = LookaheadSensitiveGraph(conflicted, max_cache_entries=16)
-        for conflict in conflicted.conflicts:
-            graph.shortest_path(conflict)
-        info = graph.cache_info()
-        assert info["max_entries"] == 16
-        assert info["entries"] <= 16
-        assert info["evictions"] > 0
-
     def test_bounded_cache_returns_same_paths(self, conflicted):
-        unbounded = LookaheadSensitiveGraph(conflicted)
-        tiny = LookaheadSensitiveGraph(conflicted, max_cache_entries=4)
+        """A graph whose skeleton memo is warm from every conflict gives
+        the same paths as fresh graphs, and the memo stays bounded by
+        the pairs the searches could visit."""
+        warm = LookaheadSensitiveGraph(conflicted)
         for conflict in conflicted.conflicts:
-            a = unbounded.shortest_path(conflict)
-            b = tiny.shortest_path(conflict)
-            assert [str(edge) for edge in a] == [str(edge) for edge in b]
-
-    def test_clear_successor_cache(self, conflicted):
-        graph = LookaheadSensitiveGraph(conflicted)
-        graph.shortest_path(conflicted.conflicts[0])
-        assert graph.cache_info()["entries"] > 0
-        graph.clear_successor_cache()
-        assert graph.cache_info()["entries"] == 0
+            warm.shortest_path(conflict)
+        visitable = set().union(
+            *(reaching_pairs(conflicted, c) for c in conflicted.conflicts)
+        )
+        assert 0 < len(warm._skeletons) <= len(visitable)
+        for conflict in conflicted.conflicts:
+            fresh = LookaheadSensitiveGraph(conflicted).shortest_path(conflict)
+            again = warm.shortest_path(conflict)
+            assert [str(edge) for edge in again] == [str(edge) for edge in fresh]
 
 
 class TestMaterializationCounters:
@@ -75,14 +59,30 @@ class TestMaterializationCounters:
         estimated = collector.counters["lasg.vertices.estimated_full"]
         assert 0 < materialized < estimated
 
-    def test_successor_cache_counters_mirrored_to_metrics(self, conflicted):
-        with metrics.collecting() as collector:
-            graph = LookaheadSensitiveGraph(conflicted)
-            for conflict in conflicted.conflicts:
+    @pytest.mark.parametrize("name", ["figure1", "Pascal.2", "C.2"])
+    def test_at_most_two_vertices_per_reaching_pair(self, name):
+        """One vertex per (state, item, bit): the BFS cannot materialize
+        more than twice the pairs that can reach the conflict item."""
+        automaton = build_lalr(get(name).load())
+        graph = LookaheadSensitiveGraph(automaton)
+        for conflict in automaton.conflicts:
+            with metrics.collecting() as collector:
                 graph.shortest_path(conflict)
-                graph.shortest_path(conflict)
-        assert collector.counters["lasg.successors.miss"] > 0
-        assert collector.counters["lasg.successors.hit"] > 0
+            materialized = collector.counters["lasg.vertices.materialized"]
+            assert 0 < materialized <= 2 * len(reaching_pairs(automaton, conflict))
+
+
+class TestBudget:
+    def test_too_small_node_budget_degrades_lasg_to_stub(self, figure1):
+        finder = CounterexampleFinder(build_lalr(figure1), max_configurations=2)
+        conflict = finder.conflicts[0]
+        # The BFS dequeues at least one vertex per path edge.
+        assert len(finder.graph.shortest_path(conflict)) > 2
+        report = finder.explain(conflict)
+        assert report.rung is Rung.STUB
+        assert report.stub is not None
+        assert report.degradations[0].stage is Stage.LASG
+        assert report.degradations[0].error_type == "BudgetExhausted"
 
 
 class TestFinderScoping:

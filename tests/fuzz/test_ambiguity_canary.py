@@ -6,8 +6,10 @@ silent regression in the walker (wrong verdict, invalid witness, or an
 outright crash) fails the fuzz battery rather than only the unit tests.
 """
 
+import pytest
+
 from repro.corpus import load
-from repro.verify import run_fuzz_campaign
+from repro.verify import DifferentialOracle, run_fuzz_campaign
 from repro.verify.harness import FailureKind, FuzzHarness
 
 
@@ -81,3 +83,52 @@ class TestBrokenWalkerFailsCampaign:
             kind is FailureKind.CRASH and "ambiguity" in detail
             for kind, detail in examination.problems
         )
+
+
+class TestWalkSearchCrossCheck:
+    """A conflict the walk proves unambiguous cannot have a unifying
+    counterexample; a walker that wrongly says so must be caught."""
+
+    @pytest.fixture
+    def lying_walker(self, monkeypatch):
+        import repro.analysis as analysis_module
+        from repro.analysis import AmbiguityVerdict, ConflictAmbiguity
+
+        def always_unambiguous(automaton, **kwargs):
+            return {
+                conflict: ConflictAmbiguity(
+                    AmbiguityVerdict.UNAMBIGUOUS, detail="forced"
+                )
+                for conflict in automaton.tables.conflicts
+            }
+
+        monkeypatch.setattr(
+            analysis_module, "analyze_conflicts", always_unambiguous
+        )
+
+    def test_harness_flags_forced_unambiguous_on_figure1(self, lying_walker):
+        harness = FuzzHarness(shrink=False)
+        examination = harness._examine(load("figure1"), seed=0)
+        contradictions = [
+            detail
+            for kind, detail in examination.problems
+            if kind is FailureKind.WALK_CONTRADICTION
+        ]
+        assert contradictions
+        assert FailureKind.WALK_CONTRADICTION.fatal
+        assert any(
+            kind is FailureKind.ORACLE_DISAGREEMENT
+            and "unambiguous-despite-unifying-counterexample" in detail
+            for kind, detail in examination.problems
+        )
+
+    def test_differential_oracle_flags_forced_unambiguous(self, lying_walker):
+        report = DifferentialOracle(load("figure1"), seed=0).check()
+        assert "unambiguous-despite-unifying-counterexample" in {
+            d.check for d in report.disagreements
+        }
+
+    def test_honest_walker_raises_no_contradiction(self):
+        for name in ("figure1", "nonlalr01", "nonlalr03-genuine"):
+            examination = FuzzHarness(shrink=False)._examine(load(name), seed=0)
+            assert FailureKind.WALK_CONTRADICTION not in examination.problem_kinds()

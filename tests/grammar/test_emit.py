@@ -82,6 +82,32 @@ class TestRoundTrip:
         reloaded = roundtrip(grammar)
         assert production_signature(reloaded) == production_signature(grammar)
 
+    @pytest.mark.parametrize("corpus_name", ["C.2", "C.3", "C.4", "C.5"])
+    def test_precedence_only_tokens_keep_the_conflict_set(self, corpus_name):
+        # Regression: ``%nonassoc NOELSE`` names a token used only as a
+        # ``%prec`` target; the emitter used to drop its level, so the
+        # reloaded grammar had one more (dangling-else) conflict.
+        from repro.automaton import build_lalr
+        from repro.corpus import load as load_corpus
+
+        grammar = load_corpus(corpus_name)
+        original = {str(c) for c in build_lalr(grammar).conflicts}
+        reloaded = {str(c) for c in build_lalr(roundtrip(grammar)).conflicts}
+        assert reloaded == original
+
+    def test_precedence_only_token_changes_the_fingerprint(self):
+        from repro.automaton import build_lalr
+        from repro.corpus.c import C_BASE
+        from repro.corpus.inject import drop_directive
+        from repro.perf.cache import grammar_fingerprint
+
+        declared = load_grammar(C_BASE)
+        undeclared = load_grammar(drop_directive(C_BASE, "%nonassoc NOELSE"))
+        assert len(build_lalr(declared).conflicts) != len(
+            build_lalr(undeclared).conflicts
+        )
+        assert grammar_fingerprint(declared) != grammar_fingerprint(undeclared)
+
 
 class TestRendering:
     def test_interleaved_production_order_preserved(self):
