@@ -24,7 +24,7 @@ table order, which is sorted by name, so ``sorted(...)``-based report
 rendering is byte-identical to the frozenset era.
 
 The table's terminal order is deterministic (name-sorted, end marker
-included), which also makes the serialized v2 automaton format
+included), which also makes the serialized automaton format
 (:mod:`repro.automaton.serialize`) stable across machines.
 """
 

@@ -18,7 +18,7 @@ represents: :func:`restore_rows` returns rows with exactly the original
 ``key -> payload`` entries, emitted in ascending key order. Both the
 serializer (format v3) and therefore every content-addressed cache
 entry (:mod:`repro.perf.cache`) go through this encoding; the bench
-report records the flat-vs-compacted size ratio.
+report records each entry's size.
 
 Rows are flat ``[key, payload..., key, payload...]`` integer lists with
 a fixed *stride* (entry width): stride 3 for ACTION rows

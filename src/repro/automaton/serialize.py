@@ -22,24 +22,23 @@ per-item LALR(1) lookahead function, and the unresolved conflicts — so a
 :class:`~repro.automaton.lalr.LALRAutomaton` can be reconstructed without
 re-running LR(0) construction or the lookahead fixpoint.
 
-Format **v2** mirrors the in-memory hot-path representation: lookahead
-sets are pooled *int bitmasks* over the automaton's name-sorted
-:class:`~repro.automaton.bitset.TerminalTable` (decode is a dict fill,
-no set construction), transitions are flat ``[symbol code, target id]``
-arrays over a shared symbol list, and ACTION/GOTO rows are flat coded
-triples/pairs instead of name-keyed objects.
-
-Format **v3** keeps the v2 layout but adds the construction algorithm
+The format (version 3) mirrors the in-memory hot-path representation:
+lookahead sets are pooled *int bitmasks* over the automaton's
+name-sorted :class:`~repro.automaton.bitset.TerminalTable` (decode is a
+dict fill, no set construction), items and transitions are flat integer
+arrays over a shared symbol list, and the construction algorithm
 (``"algorithm"``: lalr/ielr/lr1 — minimal and canonical LR(1) automata
-from :mod:`repro.automaton.ielr` serialize through the same writer) and
-compresses ACTION/GOTO with the row/column equivalence-class encoding of
+from :mod:`repro.automaton.ielr` serialize through the same writer) is
+recorded. ACTION/GOTO rows are flat coded triples/pairs compressed with
+the row/column equivalence-class encoding of
 :mod:`repro.automaton.compaction` — identical columns collapse into one
 class and identical re-keyed rows are interned, which is where most of a
-big automaton's serialized bytes live. Readers for v1 **and** v2
-documents are kept so older dumps still load; stale cache entries
-(:mod:`repro.perf.cache`) are simply never found — the format version is
-folded into the cache key, so the bump turns them into clean misses, not
-errors.
+big automaton's serialized bytes live.
+
+Only the current version decodes; any other raises ``ValueError``. The
+format's one job is to memoize automaton construction in
+:mod:`repro.perf.cache`, which folds the version into its cache key, so
+documents of an older version are never even looked up.
 """
 
 from __future__ import annotations
@@ -68,12 +67,7 @@ FORMAT_VERSION = 1
 #: so stale cache entries self-invalidate.
 FULL_FORMAT_VERSION = 3
 
-#: The flat (uncompacted) layout, still writable via
-#: ``automaton_to_dict(automaton, compact=False)`` for size comparisons
-#: and format regression tests.
-FLAT_FORMAT_VERSION = 2
-
-#: ACTION opcodes of the v2 flat encoding.
+#: ACTION opcodes of the flat row encoding.
 _OP_SHIFT, _OP_REDUCE, _OP_ACCEPT, _OP_ERROR = 0, 1, 2, 3
 
 
@@ -185,19 +179,7 @@ def load_tables(text: str, allow_conflicts: bool = False) -> tuple[ParseTables, 
 # The full-automaton format (see the module docstring)
 
 
-def _encode_full_action(action: Action) -> list[Any]:
-    if isinstance(action, Shift):
-        return ["s", action.state_id]
-    if isinstance(action, Reduce):
-        return ["r", action.production.index]
-    if isinstance(action, Accept):
-        return ["a"]
-    return ["e"]
-
-
-def automaton_to_dict(
-    automaton: LALRAutomaton, compact: bool = True
-) -> dict[str, Any]:
+def automaton_to_dict(automaton: LALRAutomaton) -> dict[str, Any]:
     """A JSON-compatible snapshot of the *whole* automaton.
 
     Captures the grammar (as DSL text — :func:`repro.grammar.emit.dump_grammar`
@@ -207,11 +189,6 @@ def automaton_to_dict(
     automaton's terminal table, and the fully built parse tables
     including unresolved conflicts. Parse tables are forced if not yet
     built.
-
-    With *compact* (the default) ACTION/GOTO are emitted v3-style
-    through :mod:`repro.automaton.compaction`; ``compact=False`` writes
-    the flat v2 layout instead — byte-for-byte larger, used by the bench
-    report to measure the compaction win and by format regression tests.
     """
     grammar = automaton.grammar
     tables = automaton.tables  # force, so conflicts are captured
@@ -237,6 +214,7 @@ def automaton_to_dict(
     pool: list[int] = []
     states: list[dict[str, Any]] = []
     lookahead_rows: list[list[int]] = []
+    trans_rows: list[list[int]] = []
     for state in automaton.states:
         items_flat: list[int] = []
         row: list[int] = []
@@ -253,8 +231,9 @@ def automaton_to_dict(
         for symbol, target in state.transitions.items():
             trans_flat.append(code_of(symbol))
             trans_flat.append(target.id)
-        states.append({"k": len(state.kernel), "items": items_flat, "trans": trans_flat})
+        states.append({"k": len(state.kernel), "items": items_flat})
         lookahead_rows.append(row)
+        trans_rows.append(trans_flat)
 
     def encode_action_row(row: dict[Terminal, Action]) -> list[int]:
         flat: list[int] = []
@@ -282,21 +261,8 @@ def automaton_to_dict(
 
     action_rows = [encode_action_row(row) for row in tables.action]
     goto_rows = [encode_goto_row(row) for row in tables.goto]
-    if compact:
-        action_out: Any = compact_rows(action_rows, 3, len(table.terminals))
-        goto_out: Any = compact_rows(goto_rows, 2, len(symbol_names))
-        # Whole-row interning for the remaining per-state vectors:
-        # lookahead-pool rows and transition rows repeat heavily (half
-        # or more of the states of a big grammar share one).
-        lookaheads_out: Any = intern_rows(lookahead_rows)
-        trans_out = intern_rows([encoded.pop("trans") for encoded in states])
-    else:
-        action_out, goto_out = action_rows, goto_rows
-        lookaheads_out = lookahead_rows
-        trans_out = None
-
-    document = {
-        "full_version": FULL_FORMAT_VERSION if compact else FLAT_FORMAT_VERSION,
+    return {
+        "full_version": FULL_FORMAT_VERSION,
         "algorithm": automaton.algorithm,
         "grammar": grammar.name,
         "grammar_dsl": dump_grammar(grammar),
@@ -304,9 +270,13 @@ def automaton_to_dict(
         "symbols": symbol_names,
         "states": states,
         "la_pool": pool,
-        "lookaheads": lookaheads_out,
-        "action": action_out,
-        "goto": goto_out,
+        # Whole-row interning for the remaining per-state vectors:
+        # lookahead-pool rows and transition rows repeat heavily (half
+        # or more of the states of a big grammar share one).
+        "lookaheads": intern_rows(lookahead_rows),
+        "trans": intern_rows(trans_rows),
+        "action": compact_rows(action_rows, 3, len(table.terminals)),
+        "goto": compact_rows(goto_rows, 2, len(symbol_names)),
         "conflicts": [
             {
                 "state": c.state_id,
@@ -320,143 +290,6 @@ def automaton_to_dict(
         "resolved_count": tables.resolved_count,
         "used_precedence": sorted(str(t) for t in tables.used_precedence),
     }
-    if trans_out is not None:
-        document["trans"] = trans_out
-    return document
-
-
-def _build_states(
-    data: dict[str, Any], productions, flat_items: bool
-) -> list[LR0State]:
-    """Shared state-list reconstruction for both format versions."""
-    states: list[LR0State] = []
-    for state_id, encoded in enumerate(data["states"]):
-        raw = encoded["items"]
-        if flat_items:
-            items = tuple(
-                Item(productions[raw[i]], raw[i + 1]) for i in range(0, len(raw), 2)
-            )
-        else:
-            items = tuple(Item(productions[p], dot) for p, dot in raw)
-        states.append(
-            LR0State(
-                id=state_id,
-                kernel=frozenset(items[: encoded["k"]]),
-                items=items,
-            )
-        )
-    return states
-
-
-def _decode_conflicts(data: dict[str, Any], productions) -> list[Conflict]:
-    return [
-        Conflict(
-            state_id=entry["state"],
-            terminal=Terminal(entry["terminal"]),
-            kind=ConflictKind(entry["kind"]),
-            reduce_item=Item(productions[entry["reduce"][0]], entry["reduce"][1]),
-            other_item=Item(productions[entry["other"][0]], entry["other"][1]),
-        )
-        for entry in data["conflicts"]
-    ]
-
-
-def _assemble(
-    data: dict[str, Any],
-    grammar: Grammar,
-    states: list[LR0State],
-    terminal_table: TerminalTable,
-    lookahead_masks: dict[tuple[int, Item], int],
-    tables: ParseTables,
-) -> LALRAutomaton:
-    """Final object assembly shared by both decoders.
-
-    Rebuilds the reverse transition graph and wires the ``__new__``-made
-    instances together. The nullable/FIRST analysis, the lookahead
-    *views*, and the adjacency arrays all stay lazy — cached consumers
-    that never touch them never pay for them.
-    """
-    predecessors: dict[int, dict[Symbol, list[LR0State]]] = {
-        state.id: {} for state in states
-    }
-    for state in states:
-        for symbol, target in state.transitions.items():
-            predecessors[target.id].setdefault(symbol, []).append(state)
-
-    lr0 = LR0Automaton.__new__(LR0Automaton)
-    lr0.grammar = grammar
-    lr0.states = states
-    lr0._by_kernel = {state.kernel: state for state in states}
-    lr0.predecessors = predecessors
-
-    automaton = LALRAutomaton.__new__(LALRAutomaton)
-    automaton.grammar = grammar
-    automaton.lr0 = lr0
-    automaton.terminal_table = terminal_table
-    automaton.lookahead_masks = lookahead_masks
-    # Documents older than v3 carry no algorithm field; they were all
-    # LALR by construction.
-    automaton.algorithm = data.get("algorithm", "lalr")
-    # Pre-seed the lazily built tables; ``analysis`` and the set-like
-    # ``lookaheads`` views stay lazy.
-    automaton.__dict__["tables"] = tables
-    return automaton
-
-
-def _automaton_from_dict_v1(data: dict[str, Any]) -> LALRAutomaton:
-    """Compatibility reader for v1 documents (name-keyed, set pools)."""
-    from repro.grammar.dsl import load_grammar
-
-    grammar = load_grammar(data["grammar_dsl"], name=data.get("grammar", "grammar"))
-    productions = grammar.productions
-    nonterminal_names = {nt.name for nt in grammar.nonterminals}
-
-    def symbol_of(name: str) -> Symbol:
-        if name in nonterminal_names:
-            return Nonterminal(name)
-        return Terminal(name)
-
-    terminal_table = TerminalTable.for_grammar(grammar)
-    terminals = [Terminal(name) for name in data["terminals"]]
-    pool_masks = [
-        terminal_table.mask_of(terminals[code] for code in codes)
-        for codes in data["la_pool"]
-    ]
-
-    states = _build_states(data, productions, flat_items=False)
-    lookahead_masks: dict[tuple[int, Item], int] = {}
-    for state, encoded, row in zip(states, data["states"], data["lookaheads"]):
-        for name, target in encoded["trans"]:
-            state.transitions[symbol_of(name)] = states[target]
-        for item, pool_id in zip(state.items, row):
-            lookahead_masks[(state.id, item)] = pool_masks[pool_id]
-
-    def decode_action(encoded: list[Any]) -> Action:
-        tag = encoded[0]
-        if tag == "s":
-            return Shift(encoded[1])
-        if tag == "r":
-            return Reduce(productions[encoded[1]])
-        if tag == "a":
-            return Accept()
-        return ErrorAction()
-
-    tables = ParseTables(
-        action=[
-            {Terminal(name): decode_action(encoded) for name, encoded in row.items()}
-            for row in data["action"]
-        ],
-        goto=[
-            {Nonterminal(name): target for name, target in row.items()}
-            for row in data["goto"]
-        ],
-        conflicts=_decode_conflicts(data, productions),
-        resolved_count=data.get("resolved_count", 0),
-        used_precedence=frozenset(
-            Terminal(name) for name in data.get("used_precedence", ())
-        ),
-    )
-    return _assemble(data, grammar, states, terminal_table, lookahead_masks, tables)
 
 
 def automaton_from_dict(data: dict[str, Any]) -> LALRAutomaton:
@@ -466,15 +299,14 @@ def automaton_from_dict(data: dict[str, Any]) -> LALRAutomaton:
     production indices by the emitter's round-trip guarantee); states,
     transitions, lookahead masks, and tables are rebuilt directly,
     skipping LR(0) construction, the lookahead fixpoint, and table
-    building. The current v3 format (compacted tables), the flat v2
-    layout, and legacy v1 documents all decode; any other version raises
+    building. A document of any other format version raises
     ``ValueError`` (which the automaton cache treats as a miss).
     """
     version = data.get("full_version")
-    if version == 1:
-        return _automaton_from_dict_v1(data)
-    if version not in (FLAT_FORMAT_VERSION, FULL_FORMAT_VERSION):
+    if version != FULL_FORMAT_VERSION:
         raise ValueError(f"unsupported full-automaton format version {version!r}")
+
+    algorithm = data["algorithm"]
 
     from repro.grammar.dsl import load_grammar
 
@@ -490,18 +322,27 @@ def automaton_from_dict(data: dict[str, Any]) -> LALRAutomaton:
     terminals = terminal_table.terminals
     pool = [int(mask) for mask in data["la_pool"]]
 
-    states = _build_states(data, productions, flat_items=True)
-    if version == FULL_FORMAT_VERSION:
-        lookahead_rows = expand_rows(data["lookaheads"])
-        trans_rows = expand_rows(data["trans"])
-    else:
-        lookahead_rows = data["lookaheads"]
-        trans_rows = [encoded["trans"] for encoded in data["states"]]
+    states: list[LR0State] = []
+    for state_id, encoded in enumerate(data["states"]):
+        raw = encoded["items"]
+        items = tuple(
+            Item(productions[raw[i]], raw[i + 1]) for i in range(0, len(raw), 2)
+        )
+        states.append(
+            LR0State(id=state_id, kernel=frozenset(items[: encoded["k"]]), items=items)
+        )
     lookahead_masks: dict[tuple[int, Item], int] = {}
-    for state, trans, row in zip(states, trans_rows, lookahead_rows):
+    predecessors: dict[int, dict[Symbol, list[LR0State]]] = {
+        state.id: {} for state in states
+    }
+    for state, trans, row in zip(
+        states, expand_rows(data["trans"]), expand_rows(data["lookaheads"])
+    ):
         transitions = state.transitions
         for i in range(0, len(trans), 2):
-            transitions[symbols[trans[i]]] = states[trans[i + 1]]
+            symbol, target = symbols[trans[i]], states[trans[i + 1]]
+            transitions[symbol] = target
+            predecessors[target.id].setdefault(symbol, []).append(state)
         state_id = state.id
         for item, pool_id in zip(state.items, row):
             lookahead_masks[(state_id, item)] = pool[pool_id]
@@ -529,30 +370,51 @@ def automaton_from_dict(data: dict[str, Any]) -> LALRAutomaton:
             row[symbol] = flat[i + 1]
         return row
 
-    if version == FULL_FORMAT_VERSION:
-        action_rows = restore_rows(data["action"], 3)
-        goto_rows = restore_rows(data["goto"], 2)
-    else:
-        action_rows, goto_rows = data["action"], data["goto"]
+    def decode_item(encoded: list[int]) -> Item:
+        return Item(productions[encoded[0]], encoded[1])
 
     tables = ParseTables(
-        action=[decode_action_row(flat) for flat in action_rows],
-        goto=[decode_goto_row(flat) for flat in goto_rows],
-        conflicts=_decode_conflicts(data, productions),
+        action=[decode_action_row(flat) for flat in restore_rows(data["action"], 3)],
+        goto=[decode_goto_row(flat) for flat in restore_rows(data["goto"], 2)],
+        conflicts=[
+            Conflict(
+                state_id=entry["state"],
+                terminal=Terminal(entry["terminal"]),
+                kind=ConflictKind(entry["kind"]),
+                reduce_item=decode_item(entry["reduce"]),
+                other_item=decode_item(entry["other"]),
+            )
+            for entry in data["conflicts"]
+        ],
         resolved_count=data.get("resolved_count", 0),
         used_precedence=frozenset(
             Terminal(name) for name in data.get("used_precedence", ())
         ),
     )
-    return _assemble(data, grammar, states, terminal_table, lookahead_masks, tables)
+
+    # Wire the ``__new__``-made instances together. The nullable/FIRST
+    # analysis, the set-like lookahead views, and the adjacency arrays all
+    # stay lazy — cached consumers that never touch them never pay for them.
+    lr0 = LR0Automaton.__new__(LR0Automaton)
+    lr0.grammar = grammar
+    lr0.states = states
+    lr0._by_kernel = {state.kernel: state for state in states}
+    lr0.predecessors = predecessors
+
+    automaton = LALRAutomaton.__new__(LALRAutomaton)
+    automaton.grammar = grammar
+    automaton.lr0 = lr0
+    automaton.terminal_table = terminal_table
+    automaton.lookahead_masks = lookahead_masks
+    automaton.algorithm = algorithm
+    automaton.__dict__["tables"] = tables  # pre-seed the lazy property
+    return automaton
 
 
-def dump_automaton(automaton: LALRAutomaton, compact: bool = True) -> str:
+def dump_automaton(automaton: LALRAutomaton) -> str:
     """Serialize the full automaton to deterministic JSON text."""
     return json.dumps(
-        automaton_to_dict(automaton, compact=compact),
-        sort_keys=True,
-        separators=(",", ":"),
+        automaton_to_dict(automaton), sort_keys=True, separators=(",", ":")
     )
 
 

@@ -21,7 +21,6 @@ report's flake ledger.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -106,13 +105,19 @@ class ShardLedger:
     def replay(self) -> LedgerState:
         """Fold the ledger into terminal results + interrupted units.
 
-        The digest history walks *every* intact ``done`` line, not just
-        the winning last snapshot — that is where re-run disagreements
-        (flakes) come from.
+        The digest history walks *every* intact ``done`` snapshot, not
+        just the winning last one per unit — that is where re-run
+        disagreements (flakes) come from.
         """
         state = LedgerState()
-        records, stats = self._ledger.replay()
-        state.stats = stats
+        records: dict[str, dict[str, Any]] = {}
+        for unit_id, snapshot in self._ledger.snapshots(stats=state.stats):
+            records[unit_id] = snapshot
+            result = snapshot.get("result")
+            if snapshot.get("state") == DONE and isinstance(result, dict):
+                digest = result.get("digest")
+                if isinstance(digest, str):
+                    state.digests.setdefault(unit_id, []).append(digest)
         for unit_id, snapshot in records.items():
             if snapshot.get("state") == DONE and isinstance(
                 snapshot.get("result"), dict
@@ -125,35 +130,7 @@ class ShardLedger:
                     state.interrupted[unit_id] = int(snapshot.get("attempt", 1))
             else:
                 state.interrupted[unit_id] = int(snapshot.get("attempt", 1))
-        state.digests = self._digest_history()
         return state
-
-    def _digest_history(self) -> dict[str, list[str]]:
-        """Every completed attempt's digest per unit, in append order."""
-        history: dict[str, list[str]] = {}
-        try:
-            with open(self.path, encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return history
-        for raw in lines:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                data = json.loads(raw)
-            except ValueError:
-                continue
-            if not isinstance(data, dict) or data.get("state") != DONE:
-                continue
-            result = data.get("result")
-            if not isinstance(result, dict):
-                continue
-            digest = result.get("digest")
-            unit_id = data.get("unit")
-            if isinstance(unit_id, str) and isinstance(digest, str):
-                history.setdefault(unit_id, []).append(digest)
-        return history
 
     def info(self) -> dict[str, Any]:
         return self._ledger.info()

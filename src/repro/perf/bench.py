@@ -27,8 +27,10 @@ Three subcommands:
 
 The default grammar set is the *fast* corpus subset — every conflict
 resolves well under a second, so results are stable and a CI run takes
-seconds, not minutes. ``--all`` runs the whole corpus (the nightly job
-does); heavy grammars get the reduced Table-1 budgets either way.
+seconds, not minutes. ``--all`` runs the whole corpus in one process;
+heavy grammars get the reduced Table-1 budgets either way. Sharded
+full-corpus runs go through the campaign's ``bench:<name>`` units
+(:mod:`repro.campaign`).
 """
 
 from __future__ import annotations
@@ -143,14 +145,10 @@ def _bench_grammar(
             if key in collector.counters
         }
     # Cache-entry footprint: what an AutomatonCache entry for this
-    # grammar costs on disk, flat (v2) vs compacted (v3) encoding.
-    # Sizes are deterministic, so they ride on the last repeat.
+    # grammar costs on disk. Deterministic, so it rides on the last repeat.
     from repro.automaton.serialize import dump_automaton
 
-    cache_entry_bytes = {
-        "flat": len(dump_automaton(automaton, compact=False).encode("utf-8")),
-        "compact": len(dump_automaton(automaton, compact=True).encode("utf-8")),
-    }
+    cache_entry_bytes = len(dump_automaton(automaton).encode("utf-8"))
     # Static ambiguity verdicts: deterministic (node-budget-only walks),
     # timed in their own collection so finder totals stay comparable
     # against pre-analysis baselines.
@@ -199,46 +197,6 @@ def run_suite(
             name, repeats, time_limit, cumulative_limit
         )
     return report
-
-
-def merge_reports(reports: list[dict[str, Any]]) -> dict[str, Any]:
-    """Fold sharded ``run --shard k/M`` reports into one suite report.
-
-    Settings must agree across shards; grammar sets must be disjoint.
-    The merged calibration is the mean of the shard calibrations — each
-    shard's timings were taken at its own machine speed, so no single
-    shard's constant is more correct than another's.
-    """
-    if not reports:
-        raise ValueError("no bench reports to merge")
-    for report in reports:
-        if report.get("schema") != SCHEMA:
-            raise ValueError(
-                f"unsupported bench schema {report.get('schema')!r} "
-                f"(expected {SCHEMA!r})"
-            )
-    head = reports[0]
-    for key in ("repeats", "time_limit", "cumulative_limit"):
-        values = {report.get(key) for report in reports}
-        if len(values) != 1:
-            raise ValueError(f"shard reports disagree on {key}: {sorted(values)}")
-    merged: dict[str, Any] = {
-        "schema": SCHEMA,
-        "repeats": head["repeats"],
-        "time_limit": head["time_limit"],
-        "cumulative_limit": head["cumulative_limit"],
-        "calibration_s": round(
-            statistics.mean(r.get("calibration_s", 0.0) for r in reports), 6
-        ),
-        "grammars": {},
-    }
-    for report in reports:
-        for name, entry in report.get("grammars", {}).items():
-            if name in merged["grammars"]:
-                raise ValueError(f"grammar {name!r} appears in multiple shards")
-            merged["grammars"][name] = entry
-    merged["grammars"] = dict(sorted(merged["grammars"].items()))
-    return merged
 
 
 # ---------------------------------------------------------------------- #
@@ -379,12 +337,12 @@ def cache_check(grammar_name: str = "Java.1", min_speedup: float = 2.0) -> int:
 
     from repro.automaton.lalr import build_lalr
     from repro.corpus import registry
-    from repro.perf.cache import AutomatonCache, build_lalr_cached
+    from repro.perf.cache import AutomatonCache, build_automaton_cached
 
     grammar = registry.load(grammar_name)
     with tempfile.TemporaryDirectory() as tmp:
         cache = AutomatonCache(tmp)
-        build_lalr_cached(grammar, cache)  # populate
+        build_automaton_cached(grammar, cache, "lalr")  # populate
 
         start = time.perf_counter()
         automaton = build_lalr(grammar)
@@ -392,7 +350,7 @@ def cache_check(grammar_name: str = "Java.1", min_speedup: float = 2.0) -> int:
         build_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        cached = build_lalr_cached(grammar, cache)
+        cached = build_automaton_cached(grammar, cache, "lalr")
         load_s = time.perf_counter() - start
 
         assert cache.hits >= 1 and len(cached.states) == len(automaton.states)
@@ -427,17 +385,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument(
         "--all", action="store_true", help="benchmark the whole corpus"
     )
-    run_p.add_argument(
-        "--shard",
-        default=None,
-        metavar="k/M",
-        help="run only grammars[k-1::M]; merge the per-shard reports "
-        "with the merge subcommand",
-    )
-
-    mrg_p = sub.add_parser("merge", help="merge sharded run reports into one")
-    mrg_p.add_argument("reports", nargs="+", type=Path)
-    mrg_p.add_argument("--out", type=Path, required=True)
 
     cmp_p = sub.add_parser("compare", help="gate a report against a baseline")
     cmp_p.add_argument("baseline", type=Path)
@@ -473,11 +420,6 @@ def main(argv: list[str] | None = None) -> int:
             grammars = [spec.name for spec in registry.all_specs()]
         else:
             grammars = args.grammars or FAST_GRAMMARS
-        if args.shard:
-            from repro.campaign.units import parse_shard
-
-            k, m = parse_shard(args.shard)
-            grammars = grammars[k - 1 :: m]
         report = run_suite(
             grammars,
             repeats=args.repeats,
@@ -487,19 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
         print(f"wrote {args.out} ({len(report['grammars'])} grammars)")
-        return 0
-
-    if args.command == "merge":
-        try:
-            merged = merge_reports(
-                [json.loads(path.read_text()) for path in args.reports]
-            )
-        except ValueError as error:
-            print(f"merge error: {error}", file=sys.stderr)
-            return 2
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {args.out} ({len(merged['grammars'])} grammars)")
         return 0
 
     if args.command == "compare":

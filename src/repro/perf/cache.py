@@ -28,11 +28,11 @@ profiling is active.
 
 Usage::
 
-    from repro.perf.cache import AutomatonCache, build_lalr_cached
+    from repro.perf.cache import AutomatonCache, build_automaton_cached
 
     cache = AutomatonCache("~/.cache/repro")
-    automaton = build_lalr_cached(grammar, cache)   # builds, then caches
-    automaton = build_lalr_cached(grammar, cache)   # decodes (~5x faster)
+    automaton = build_automaton_cached(grammar, cache, "lalr")  # builds, caches
+    automaton = build_automaton_cached(grammar, cache, "lalr")  # decodes (~5x faster)
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.analysis import (
     analyze_conflicts,
 )
 from repro.automaton.conflicts import Conflict
-from repro.automaton.lalr import LALRAutomaton, build_lalr
+from repro.automaton.lalr import LALRAutomaton
 from repro.automaton.serialize import (
     FULL_FORMAT_VERSION,
     dump_automaton,
@@ -250,10 +250,10 @@ class AutomatonCache:
 
         The verdicts ride inside the cached automaton document as an
         optional ``"ambiguity"`` block — unknown to (and ignored by) the
-        serialization readers, so a verdict-bearing entry stays loadable
-        by any v3-aware decoder. A block from a different analysis
-        version, or one whose conflicts disagree with the automaton's
-        (hash collision, hand-edited file), is a miss.
+        serialization reader, so a verdict-bearing entry stays loadable.
+        A block from a different analysis version, or one whose conflicts
+        disagree with the automaton's (hash collision, hand-edited file),
+        is a miss.
         """
         path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
         try:
@@ -441,21 +441,3 @@ def analyze_conflicts_cached(
         pass  # a read-only cache directory must not fail the analysis
     return verdicts
 
-
-def build_lalr_cached(
-    grammar: Grammar, cache: AutomatonCache | None
-) -> LALRAutomaton:
-    """:func:`~repro.automaton.lalr.build_lalr` through an optional cache.
-
-    The LALR-only spelling of :func:`build_automaton_cached`, kept for
-    callers that always want the paper's construction regardless of the
-    grammar's ``%algorithm`` directive.
-    """
-    if cache is None:
-        return build_lalr(grammar)
-    cached = cache.get(grammar)
-    if cached is not None:
-        return cached
-    automaton = build_lalr(grammar)
-    cache.put(grammar, automaton)
-    return automaton

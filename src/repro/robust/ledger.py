@@ -34,7 +34,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.robust.faults import InjectedTornWrite, fire
 
@@ -157,22 +157,24 @@ class SnapshotLedger:
     # ------------------------------------------------------------------ #
     # Reading
 
-    def replay(
-        self, decode: Callable[[dict[str, Any]], Any] | None = None
-    ) -> tuple[dict[str, Any], ReplayStats]:
-        """Fold the ledger into the latest snapshot per key.
+    def snapshots(
+        self,
+        decode: Callable[[dict[str, Any]], Any] | None = None,
+        stats: ReplayStats | None = None,
+    ) -> Iterator[tuple[str, Any]]:
+        """Every intact snapshot as ``(key, snapshot)``, in append order.
 
         *decode* optionally maps each raw snapshot dict to a richer
-        object; a decode failure (``ValueError``/``KeyError``/
-        ``TypeError``) counts the line as torn, same as bad JSON.
+        object. A line that is not JSON, lacks the key field, or fails
+        *decode* (``ValueError``/``KeyError``/``TypeError``) is torn: it
+        is counted in *stats* and skipped.
         """
-        stats = ReplayStats()
-        records: dict[str, Any] = {}
+        stats = stats if stats is not None else ReplayStats()
         try:
             with open(self.path, encoding="utf-8") as handle:
                 lines = handle.readlines()
         except OSError:
-            return records, stats
+            return
         for index, raw in enumerate(lines):
             raw = raw.strip()
             if not raw:
@@ -187,9 +189,15 @@ class SnapshotLedger:
                 stats.torn += 1
                 stats.errors.append(f"line {index + 1}: {error}")
                 continue
-            records[str(data[self.key])] = value
             stats.applied += 1
-        return records, stats
+            yield str(data[self.key]), value
+
+    def replay(
+        self, decode: Callable[[dict[str, Any]], Any] | None = None
+    ) -> tuple[dict[str, Any], ReplayStats]:
+        """Fold :meth:`snapshots` into the latest snapshot per key."""
+        stats = ReplayStats()
+        return dict(self.snapshots(decode, stats)), stats
 
     # ------------------------------------------------------------------ #
     # Rotation

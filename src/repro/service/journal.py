@@ -56,32 +56,9 @@ class JobJournal:
         )
         self.keep_terminal = keep_terminal
 
-    # ------------------------------------------------------------------ #
-    # Storage-level state, delegated to the generic ledger
-
     @property
     def path(self) -> Path:
         return self._ledger.path
-
-    @property
-    def fsync(self) -> bool:
-        return self._ledger.fsync
-
-    @property
-    def rotate_after(self) -> int:
-        return self._ledger.rotate_after
-
-    @property
-    def appends_since_rotate(self) -> int:
-        return self._ledger.appends_since_rotate
-
-    @property
-    def torn_writes(self) -> int:
-        return self._ledger.torn_writes
-
-    @property
-    def stale_temps_removed(self) -> int:
-        return self._ledger.stale_temps_removed
 
     # ------------------------------------------------------------------ #
     # Writing

@@ -29,7 +29,6 @@ import enum
 import time
 from dataclasses import dataclass, field
 
-from repro.automaton.lalr import build_lalr
 from repro.core.finder import CounterexampleFinder
 from repro.grammar import Grammar, dump_grammar
 from repro.grammar.errors import GrammarError
@@ -425,12 +424,9 @@ class FuzzHarness:
     def _examine(self, grammar: Grammar, seed: int) -> _Examination:
         result = _Examination()
         try:
-            if self.automaton_cache is not None:
-                from repro.perf.cache import build_lalr_cached
+            from repro.perf.cache import build_automaton_cached
 
-                automaton = build_lalr_cached(grammar, self.automaton_cache)
-            else:
-                automaton = build_lalr(grammar)
+            automaton = build_automaton_cached(grammar, self.automaton_cache, "lalr")
         except Exception as error:  # noqa: BLE001
             result.problems.append(
                 (FailureKind.CRASH, f"automaton construction raised {error!r}")

@@ -1,8 +1,11 @@
 """Tests for equivalence-class row/column table compaction."""
 
+import json
+
+import pytest
+
 from repro.automaton import build_lalr, compact_rows, compaction_stats, restore_rows
 from repro.automaton.compaction import expand_rows, intern_rows
-from repro.automaton.serialize import automaton_to_dict
 from repro.automaton.tables import build_tables
 
 
@@ -63,12 +66,15 @@ class TestInternRows:
 
 
 class TestStats:
-    def test_compaction_shrinks_real_tables(self):
+    @pytest.mark.parametrize("name", ["SQL.2", "C.2", "Java.3"])
+    def test_compaction_shrinks_real_tables(self, name):
+        """Compaction beats the raw flat rows on large tables, in integer
+        count and in the JSON bytes a cache entry stores."""
         from repro.corpus import load
 
         from repro.automaton.tables import Accept, Reduce, Shift
 
-        automaton = build_lalr(load("SQL.2"))
+        automaton = build_lalr(load(name))
         tables = build_tables(automaton)
         terminals = sorted({t for row in tables.action for t in row}, key=str)
         code_of = {t: code for code, t in enumerate(terminals)}
@@ -91,17 +97,7 @@ class TestStats:
         assert stats["flat_ints"] == sum(len(r) for r in rows)
         assert stats["compact_ints"] < stats["flat_ints"]
         assert stats["unique_rows"] < len(rows)
-        round_tripped = restore_rows(compact_rows(rows, 3, len(code_of)), 3)
+        compacted = compact_rows(rows, 3, len(code_of))
+        assert len(json.dumps(compacted)) < len(json.dumps(rows))
+        round_tripped = restore_rows(compacted, 3)
         assert as_maps(round_tripped, 3) == as_maps(rows, 3)
-
-
-class TestSerializerIntegration:
-    def test_compact_document_smaller_than_flat(self):
-        import json
-
-        from repro.corpus import load
-
-        automaton = build_lalr(load("SQL.2"))
-        flat = json.dumps(automaton_to_dict(automaton, compact=False))
-        compact = json.dumps(automaton_to_dict(automaton, compact=True))
-        assert len(compact) < len(flat)

@@ -166,10 +166,10 @@ class TestFullAutomatonFormat:
 def _encode_v1(automaton):
     """Re-encode *automaton* in the legacy v1 document shape.
 
-    The v2 writer replaced this layout (name-keyed transitions and
-    tables, lookahead pool of terminal-code *lists*); the reader keeps a
-    v1 path so pre-upgrade cache entries decode instead of erroring.
-    This helper reconstructs a faithful v1 document to exercise it.
+    Later formats replaced this layout (name-keyed transitions and
+    tables, lookahead pool of terminal-code *lists*). This helper
+    reconstructs a faithful v1 document to check that such entries are
+    rejected by the reader and unreachable through the cache.
     """
     from repro.automaton.tables import Accept, ErrorAction, Reduce, Shift
     from repro.grammar.emit import dump_grammar
@@ -253,92 +253,16 @@ def _encode_v1(automaton):
     }
 
 
-class TestFormatV2:
-    """Specifics of the flat (v2) layout: pooled int masks, flat coded
-    tables. The v3 writer still emits this layout with ``compact=False``,
-    and the reader keeps the v2 path for pre-compaction cache entries."""
-
-    def _payload(self, grammar):
-        from repro.automaton.serialize import automaton_to_dict
-
-        automaton = build_lalr(grammar)
-        _ = automaton.tables
-        return automaton, automaton_to_dict(automaton, compact=False)
-
-    def test_version_marker_is_2(self, figure1):
-        from repro.automaton.serialize import FLAT_FORMAT_VERSION
-
-        _, payload = self._payload(figure1)
-        assert FLAT_FORMAT_VERSION == 2
-        assert payload["full_version"] == 2
-
-    def test_lookahead_pool_holds_int_masks(self, figure1):
-        automaton, payload = self._payload(figure1)
-        assert payload["la_pool"]
-        assert all(isinstance(mask, int) for mask in payload["la_pool"])
-        # Pool entries are deduplicated masks over the terminal table.
-        assert len(set(payload["la_pool"])) == len(payload["la_pool"])
-        pool = payload["la_pool"]
-        for state, row in zip(automaton.states, payload["lookaheads"]):
-            for item, pool_id in zip(state.items, row):
-                assert pool[pool_id] == automaton.lookahead_mask(
-                    state.id, item
-                )
-
-    def test_transitions_and_tables_are_flat_coded(self, figure1):
-        _, payload = self._payload(figure1)
-        for state in payload["states"]:
-            assert all(isinstance(v, int) for v in state["items"])
-            assert all(isinstance(v, int) for v in state["trans"])
-            assert len(state["items"]) % 2 == 0
-            assert len(state["trans"]) % 2 == 0
-        for row in payload["action"]:
-            assert all(isinstance(v, int) for v in row)
-            assert len(row) % 3 == 0
-        for row in payload["goto"]:
-            assert all(isinstance(v, int) for v in row)
-            assert len(row) % 2 == 0
-
-    def test_terminal_table_round_trips(self, figure1):
-        from repro.automaton.serialize import automaton_from_dict
-
-        automaton, payload = self._payload(figure1)
-        loaded = automaton_from_dict(payload)
-        assert loaded.terminal_table.terminals == (
-            automaton.terminal_table.terminals
-        )
-        assert loaded.lookahead_masks == automaton.lookahead_masks
-
-
 class TestV1Fallback:
-    """Legacy v1 documents still decode; stale cache entries miss cleanly."""
+    """Legacy v1 documents no longer decode; stale cache entries miss cleanly."""
 
-    def test_v1_document_decodes(self, figure1):
+    def test_v1_document_is_rejected(self, figure1):
         from repro.automaton.serialize import automaton_from_dict
 
         automaton = build_lalr(figure1)
         _ = automaton.tables
-        loaded = automaton_from_dict(_encode_v1(automaton))
-        assert loaded.lookaheads == automaton.lookaheads
-        assert loaded.tables.action == automaton.tables.action
-        assert [str(c) for c in loaded.conflicts] == [
-            str(c) for c in automaton.conflicts
-        ]
-
-    def test_v1_document_drives_the_finder(self, figure1):
-        from repro.core import CounterexampleFinder
-        from repro.core.report import safe_format_report
-
-        from repro.automaton.serialize import automaton_from_dict
-
-        automaton = build_lalr(figure1)
-        _ = automaton.tables
-        loaded = automaton_from_dict(_encode_v1(automaton))
-        fresh = CounterexampleFinder(automaton).explain_all()
-        decoded = CounterexampleFinder(loaded).explain_all()
-        assert [safe_format_report(r) for r in fresh.reports] == [
-            safe_format_report(r) for r in decoded.reports
-        ]
+        with pytest.raises(ValueError, match="version 1"):
+            automaton_from_dict(_encode_v1(automaton))
 
     def test_v1_cache_entry_is_a_clean_miss(self, figure1, tmp_path):
         """Pre-upgrade cache entries live under v1 fingerprints (the
@@ -348,7 +272,7 @@ class TestV1Fallback:
         import json
 
         from repro.grammar.emit import dump_grammar
-        from repro.perf.cache import AutomatonCache, build_lalr_cached
+        from repro.perf.cache import AutomatonCache, build_automaton_cached
 
         automaton = build_lalr(figure1)
         _ = automaton.tables
@@ -362,11 +286,11 @@ class TestV1Fallback:
             json.dumps(_encode_v1(automaton))
         )
 
-        rebuilt = build_lalr_cached(figure1, cache)
+        rebuilt = build_automaton_cached(figure1, cache, "lalr")
         assert cache.misses == 1 and cache.hits == 0
         assert len(rebuilt.states) == len(automaton.states)
-        # The rebuild was stored under the v2 key; next call hits.
-        assert build_lalr_cached(figure1, cache) is not None
+        # The rebuild was stored under the current key; next call hits.
+        assert build_automaton_cached(figure1, cache, "lalr") is not None
         assert cache.hits == 1
 
     def test_unknown_version_cache_entry_is_a_clean_miss(
@@ -378,7 +302,7 @@ class TestV1Fallback:
         from repro.automaton.serialize import automaton_to_dict
         from repro.perf.cache import (
             AutomatonCache,
-            build_lalr_cached,
+            build_automaton_cached,
             grammar_fingerprint,
         )
 
@@ -390,20 +314,21 @@ class TestV1Fallback:
         (tmp_path / f"{grammar_fingerprint(figure1)}.json").write_text(
             json.dumps(payload)
         )
-        rebuilt = build_lalr_cached(figure1, cache)
+        rebuilt = build_automaton_cached(figure1, cache, "lalr")
         assert cache.misses == 1
         assert len(rebuilt.states) == len(automaton.states)
 
 
 class TestFormatV3:
-    """Specifics of the compact (v3) layout: column classes + row pools."""
+    """Specifics of the v3 layout: pooled int masks, flat coded items and
+    transitions, column classes + row pools for the tables."""
 
     def _payload(self, grammar):
         from repro.automaton.serialize import automaton_to_dict
 
         automaton = build_lalr(grammar)
         _ = automaton.tables
-        return automaton, automaton_to_dict(automaton, compact=True)
+        return automaton, automaton_to_dict(automaton)
 
     def test_version_marker_is_3(self, figure1):
         from repro.automaton.serialize import FULL_FORMAT_VERSION
@@ -423,19 +348,48 @@ class TestFormatV3:
         # pool; the state records keep only kernel size and items.
         assert all("trans" not in state for state in payload["states"])
 
-    def test_compact_decodes_identically_to_flat(self, figure1):
-        from repro.automaton.serialize import (
-            automaton_from_dict,
-            automaton_to_dict,
-        )
+    def test_lookahead_pool_holds_int_masks(self, figure1):
+        from repro.automaton.compaction import expand_rows
 
-        automaton = build_lalr(figure1)
-        _ = automaton.tables
-        flat = automaton_from_dict(automaton_to_dict(automaton, compact=False))
-        compact = automaton_from_dict(automaton_to_dict(automaton, compact=True))
-        assert compact.lookahead_masks == flat.lookahead_masks
-        assert compact.tables.action == flat.tables.action
-        assert compact.tables.goto == flat.tables.goto
+        automaton, payload = self._payload(figure1)
+        assert payload["la_pool"]
+        assert all(isinstance(mask, int) for mask in payload["la_pool"])
+        # Pool entries are deduplicated masks over the terminal table.
+        assert len(set(payload["la_pool"])) == len(payload["la_pool"])
+        pool = payload["la_pool"]
+        rows = expand_rows(payload["lookaheads"])
+        for state, row in zip(automaton.states, rows):
+            for item, pool_id in zip(state.items, row):
+                assert pool[pool_id] == automaton.lookahead_mask(
+                    state.id, item
+                )
+
+    def test_transitions_and_tables_are_flat_coded(self, figure1):
+        from repro.automaton.compaction import expand_rows, restore_rows
+
+        _, payload = self._payload(figure1)
+        for state in payload["states"]:
+            assert all(isinstance(v, int) for v in state["items"])
+            assert len(state["items"]) % 2 == 0
+        for row in expand_rows(payload["trans"]):
+            assert all(isinstance(v, int) for v in row)
+            assert len(row) % 2 == 0
+        for row in restore_rows(payload["action"], 3):
+            assert all(isinstance(v, int) for v in row)
+            assert len(row) % 3 == 0
+        for row in restore_rows(payload["goto"], 2):
+            assert all(isinstance(v, int) for v in row)
+            assert len(row) % 2 == 0
+
+    def test_terminal_table_round_trips(self, figure1):
+        from repro.automaton.serialize import automaton_from_dict
+
+        automaton, payload = self._payload(figure1)
+        loaded = automaton_from_dict(payload)
+        assert loaded.terminal_table.terminals == (
+            automaton.terminal_table.terminals
+        )
+        assert loaded.lookahead_masks == automaton.lookahead_masks
 
     def test_ielr_automaton_round_trips(self):
         from repro.automaton import build_ielr
@@ -454,7 +408,7 @@ class TestFormatV3:
         assert len(kernels) > len(set(kernels))
         assert dump_automaton(loaded) == text
 
-    def test_missing_algorithm_defaults_to_lalr(self, figure1):
+    def test_missing_algorithm_is_rejected(self, figure1):
         from repro.automaton.serialize import (
             automaton_from_dict,
             automaton_to_dict,
@@ -464,4 +418,5 @@ class TestFormatV3:
         _ = automaton.tables
         payload = automaton_to_dict(automaton)
         del payload["algorithm"]
-        assert automaton_from_dict(payload).algorithm == "lalr"
+        with pytest.raises(KeyError, match="algorithm"):
+            automaton_from_dict(payload)

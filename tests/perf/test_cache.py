@@ -7,7 +7,7 @@ from repro.grammar import load_grammar
 from repro.perf import metrics
 from repro.perf.cache import (
     AutomatonCache,
-    build_lalr_cached,
+    build_automaton_cached,
     default_cache_dir,
     grammar_fingerprint,
 )
@@ -45,7 +45,7 @@ class TestFingerprint:
 
 class TestCache:
     def test_miss_then_hit(self, cache, figure1):
-        first = build_lalr_cached(figure1, cache)
+        first = build_automaton_cached(figure1, cache, "lalr")
         assert cache.info() == {
             "entries": 1,
             "hits": 0,
@@ -53,14 +53,14 @@ class TestCache:
             "quarantined": 0,
             "write_failures": 0,
         }
-        second = build_lalr_cached(figure1, cache)
+        second = build_automaton_cached(figure1, cache, "lalr")
         assert cache.hits == 1
         assert len(second.states) == len(first.states)
         assert second.grammar is figure1  # caller's instance swapped in
 
     def test_cached_automaton_is_equivalent(self, cache, figure1):
-        built = build_lalr_cached(figure1, cache)
-        loaded = build_lalr_cached(figure1, cache)
+        built = build_automaton_cached(figure1, cache, "lalr")
+        loaded = build_automaton_cached(figure1, cache, "lalr")
         assert loaded.lookaheads == built.lookaheads
         assert [str(c) for c in loaded.conflicts] == [
             str(c) for c in built.conflicts
@@ -71,40 +71,40 @@ class TestCache:
     def test_grammar_edit_forces_rebuild(self, cache):
         base = load_grammar("e : e '+' e | ID ;")
         edited = load_grammar("e : e '+' e | e '*' e | ID ;")
-        build_lalr_cached(base, cache)
-        build_lalr_cached(edited, cache)
+        build_automaton_cached(base, cache, "lalr")
+        build_automaton_cached(edited, cache, "lalr")
         assert cache.misses == 2
         assert cache.info()["entries"] == 2
 
     def test_corrupt_entry_is_a_miss_and_gets_rebuilt(self, cache, figure1):
-        build_lalr_cached(figure1, cache)
+        build_automaton_cached(figure1, cache, "lalr")
         entry = next(cache.directory.glob("*.json"))
         entry.write_text("{definitely not an automaton")
-        rebuilt = build_lalr_cached(figure1, cache)
+        rebuilt = build_automaton_cached(figure1, cache, "lalr")
         assert cache.misses == 2
         assert len(rebuilt.states) > 0
         # ...and the overwrite repaired the entry.
         assert cache.get(figure1) is not None
 
     def test_truncated_entry_is_a_miss(self, cache, figure1):
-        build_lalr_cached(figure1, cache)
+        build_automaton_cached(figure1, cache, "lalr")
         entry = next(cache.directory.glob("*.json"))
         entry.write_text(entry.read_text()[:50])
         assert cache.get(figure1) is None
 
     def test_clear_removes_entries(self, cache, figure1):
-        build_lalr_cached(figure1, cache)
+        build_automaton_cached(figure1, cache, "lalr")
         assert cache.clear() == 1
         assert cache.info()["entries"] == 0
 
     def test_none_cache_is_a_passthrough(self, figure1):
-        automaton = build_lalr_cached(figure1, None)
+        automaton = build_automaton_cached(figure1, None, "lalr")
         assert len(automaton.states) == len(build_lalr(figure1).states)
 
     def test_metrics_counters(self, cache, figure1):
         with metrics.collecting() as collector:
-            build_lalr_cached(figure1, cache)
-            build_lalr_cached(figure1, cache)
+            build_automaton_cached(figure1, cache, "lalr")
+            build_automaton_cached(figure1, cache, "lalr")
         assert collector.counters["cache.miss"] == 1
         assert collector.counters["cache.hit"] == 1
 
@@ -112,8 +112,8 @@ class TestCache:
         from repro.core import CounterexampleFinder
         from repro.core.report import safe_format_report
 
-        build_lalr_cached(figure1, cache)  # populate
-        loaded = build_lalr_cached(figure1, cache)
+        build_automaton_cached(figure1, cache, "lalr")  # populate
+        loaded = build_automaton_cached(figure1, cache, "lalr")
         fresh = CounterexampleFinder(build_lalr(figure1)).explain_all()
         cached = CounterexampleFinder(loaded).explain_all()
         assert [safe_format_report(r) for r in fresh.reports] == [

@@ -104,19 +104,15 @@ def test_state_count_sandwich(grammar):
 @given(random_grammars())
 def test_compact_serialization_decodes_identically(grammar):
     """Compacted tables decode to the same action/goto/lookahead maps as
-    the flat encoding."""
+    the automaton they were written from."""
     automaton = build_lalr(grammar)
-    flat = load_automaton(dump_automaton(automaton, compact=False))
-    compact = load_automaton(dump_automaton(automaton, compact=True))
-    assert compact.lookahead_masks == flat.lookahead_masks
-    assert len(compact.states) == len(flat.states)
-    for original, decoded in zip(flat.states, compact.states):
-        assert original.kernel == decoded.kernel
+    decoded = load_automaton(dump_automaton(automaton))
+    assert decoded.lookahead_masks == automaton.lookahead_masks
+    assert len(decoded.states) == len(automaton.states)
+    for original, loaded in zip(automaton.states, decoded.states):
+        assert original.kernel == loaded.kernel
         assert {str(s): t.id for s, t in original.transitions.items()} == {
-            str(s): t.id for s, t in decoded.transitions.items()
+            str(s): t.id for s, t in loaded.transitions.items()
         }
-    flat_tables = flat.tables
-    compact_tables = compact.tables
-    assert compact_tables.goto == flat_tables.goto
-    for flat_row, compact_row in zip(flat_tables.action, compact_tables.action):
-        assert compact_row == flat_row
+    assert decoded.tables.goto == automaton.tables.goto
+    assert decoded.tables.action == automaton.tables.action

@@ -55,7 +55,7 @@ class TestTornWrites:
         running = job.advance(JobState.RUNNING, 101.0)
         with inject_faults(FaultSpec(point="journal", kind=FaultKind.TORN_WRITE)):
             journal.append(running)
-        assert journal.torn_writes == 1
+        assert journal.info()["torn_writes"] == 1
         raw = (tmp_path / "j.jsonl").read_bytes()
         assert not raw.endswith(b"\n")  # genuinely torn on disk
 
@@ -93,7 +93,7 @@ class TestTornWrites:
         unrelated.write_text("not ours")
 
         reopened = JobJournal(tmp_path / "j.jsonl")
-        assert reopened.stale_temps_removed == 1
+        assert reopened.info()["stale_temps_removed"] == 1
         assert not stale.exists()
         assert unrelated.exists()  # only this journal's temps are swept
         records, _ = reopened.replay()
@@ -129,7 +129,7 @@ class TestRotation:
         kept_terminal = [r for r in records.values() if r.state.terminal]
         assert len(kept_terminal) == 2
         assert {r.updated_at for r in kept_terminal} == {203.0, 204.0}
-        assert journal.appends_since_rotate == 0
+        assert journal.info()["appends_since_rotate"] == 0
 
     def test_maybe_rotate_fires_on_threshold(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl", rotate_after=3)
