@@ -14,9 +14,10 @@ Prints one report per conflict, in the format of the paper's Figure 11.
 docs/CAMPAIGN.md).
 
 A campaign interrupted by SIGINT/SIGTERM cancels *structurally*: the
-in-flight conflict finishes degrading to a stub, the remaining conflicts
-are stubbed with a recorded cancellation, any ``--robust-report`` is
-still flushed (partial but well-formed), and the exit code is 130.
+in-flight conflict finishes degrading to a stub (with ``--jobs N`` the
+workers are stopped instead), the remaining conflicts are stubbed with a
+recorded cancellation, any ``--robust-report`` is still flushed (partial
+but well-formed), and the exit code is 130.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 import time
 
 from repro.automaton import build_automaton
-from repro.core import CounterexampleFinder, safe_format_report, summary_to_json
+from repro.core import safe_format_report, summary_to_json
 from repro.grammar import GrammarError, load_grammar_file, normalize_algorithm
 
 #: Human-readable construction names for the no-conflict summary line.
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         metavar="N",
         help=(
             "explain conflicts in parallel over N worker processes "
@@ -334,6 +335,14 @@ def _emit_profile(args: argparse.Namespace, collector) -> None:
                 print(f"error: cannot write profile: {error}", file=sys.stderr)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 has a meaning and < 0 has none."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _install_cancel_handlers(token) -> dict | None:
     """Route SIGINT/SIGTERM into *token*; returns the displaced handlers.
 
@@ -457,30 +466,24 @@ def main(argv: list[str] | None = None) -> int:
         _emit_profile(args, collector)
         return 0
 
-    finder_kwargs = dict(
-        time_limit=args.time_limit,
-        cumulative_limit=args.cumulative_limit,
-        extended_search=args.extendedsearch,
-        verify=not args.no_verify,
-        max_configurations=args.max_configurations,
-        retry_timed_out=args.retry_timed_out,
-    )
+    from repro.perf.parallel import explain_all_parallel
     from repro.robust.budget import CancellationToken
 
     token = CancellationToken()
     handlers = _install_cancel_handlers(token)
     started = time.monotonic()
     try:
-        if args.jobs is not None and args.jobs != 1:
-            from repro.perf.parallel import explain_all_parallel
-
-            summary = explain_all_parallel(
-                automaton, jobs=args.jobs, **finder_kwargs
-            )
-        else:
-            summary = CounterexampleFinder(
-                automaton, token=token, **finder_kwargs
-            ).explain_all()
+        summary = explain_all_parallel(
+            automaton,
+            jobs=1 if args.jobs is None else args.jobs,
+            token=token,
+            time_limit=args.time_limit,
+            cumulative_limit=args.cumulative_limit,
+            extended_search=args.extendedsearch,
+            verify=not args.no_verify,
+            max_configurations=args.max_configurations,
+            retry_timed_out=args.retry_timed_out,
+        )
     finally:
         _restore_cancel_handlers(handlers)
     elapsed = time.monotonic() - started

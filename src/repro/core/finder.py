@@ -27,16 +27,15 @@ and the failure is recorded as a
 The *conflict stub* rung always succeeds: it reports the conflict state,
 items, lookaheads, and whatever prefix was computed before the failure.
 With ``retry_timed_out``, conflicts whose unifying search timed out are
-re-searched afterwards with the leftover cumulative budget split among
-them.
+re-searched once afterwards with the leftover cumulative budget split
+among them. :meth:`CounterexampleFinder.finish` runs that retry round and
+aggregates; the serial pass and the parallel merge both end with it.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.analysis.walk import ConflictAmbiguity
 from repro.automaton.conflicts import Conflict
@@ -64,7 +63,6 @@ from repro.robust.degrade import (
 )
 from repro.robust.errors import Cancelled
 from repro.robust.faults import fire
-from repro.robust.retry import NO_RETRY, RetryPolicy
 
 
 @dataclass
@@ -142,46 +140,6 @@ class FinderSummary:
         )
 
 
-def aggregate_reports(
-    grammar_name: str,
-    reports: list[FinderReport],
-    retried: int = 0,
-    upgraded: int = 0,
-) -> FinderSummary:
-    """Fold per-conflict reports into the Table 1 summary.
-
-    Shared by the serial :meth:`CounterexampleFinder.explain_all` and the
-    parallel merge in :mod:`repro.perf.parallel`, so both paths count
-    rungs, degradations, and times identically.
-    """
-    summary = FinderSummary(grammar_name=grammar_name)
-    summary.num_retried = retried
-    summary.num_retry_upgraded = upgraded
-    for report in reports:
-        summary.reports.append(report)
-        summary.num_conflicts += 1
-        if report.degradations:
-            summary.num_degraded += 1
-            for degraded in report.degradations:
-                stage = degraded.stage.value
-                summary.degraded_by_stage[stage] = (
-                    summary.degraded_by_stage.get(stage, 0) + 1
-                )
-        if report.rung is Rung.UNIFYING:
-            summary.num_unifying += 1
-        elif report.rung is Rung.STUB:
-            summary.num_stub += 1
-        elif report.timed_out:
-            summary.num_timeout += 1
-        else:
-            summary.num_nonunifying += 1
-            if report.stats is None:
-                summary.num_skipped_search += 1
-        if not report.timed_out:
-            summary.total_time += report.unifying_time
-    return summary
-
-
 class CounterexampleFinder:
     """Finds an explanation for every conflict of a grammar — always."""
 
@@ -194,10 +152,8 @@ class CounterexampleFinder:
         verify: bool = True,
         max_configurations: int = 2_000_000,
         verify_step_budget: int | None = 1_000_000,
-        retry_timed_out: bool | RetryPolicy = False,
+        retry_timed_out: bool = False,
         token: CancellationToken | None = None,
-        stage_time_limit: float | None = None,
-        retry_sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         """
         Args:
@@ -220,23 +176,11 @@ class CounterexampleFinder:
                 ambiguous cyclic grammars otherwise make the exhaustive
                 derivation count blow up.
             retry_timed_out: After the main pass, re-search timed-out
-                conflicts with the leftover cumulative budget split among
-                them (budget escalation beyond ``time_limit``). ``True``
-                selects one immediate retry round; passing a
-                :class:`~repro.robust.retry.RetryPolicy` runs up to
-                ``max_retries`` rounds with the policy's backoff between
-                them (jitter is seeded, so runs stay deterministic).
+                conflicts once with the leftover cumulative budget split
+                among them (budget escalation beyond ``time_limit``).
             token: Cooperative cancellation; once cancelled, in-flight
                 work stops and remaining conflicts get stub entries, so
                 the summary stays complete.
-            stage_time_limit: Wall-clock bound for the structural stages
-                (LASG, nonunifying build, verification). Defaults to
-                ``max(4 * time_limit, 10.0)``: bounded — a hung stage can
-                no longer wedge the whole run — but generous, because the
-                structural stages normally finish in milliseconds and
-                shrinking the *search* budget to (near) zero is a
-                legitimate "nonunifying only" mode that must not starve
-                the stages it depends on.
         """
         if isinstance(source, LALRAutomaton):
             self.automaton = source
@@ -249,24 +193,14 @@ class CounterexampleFinder:
         self.verify = verify
         self.verify_step_budget = verify_step_budget
         self.max_configurations = max_configurations
-        # Normalise the retry knob onto one RetryPolicy: the historical
-        # ``True`` means exactly one immediate retry round.
-        if isinstance(retry_timed_out, RetryPolicy):
-            self.retry_policy = retry_timed_out
-        elif retry_timed_out:
-            self.retry_policy = RetryPolicy(
-                max_attempts=2, base_delay=0.0, jitter=0.0
-            )
-        else:
-            self.retry_policy = NO_RETRY
-        self.retry_timed_out = self.retry_policy.max_retries > 0
-        self._retry_sleep = retry_sleep
+        self.retry_timed_out = retry_timed_out
         self.token = token
-        self.stage_time_limit = (
-            stage_time_limit
-            if stage_time_limit is not None
-            else max(4 * time_limit, 10.0)
-        )
+        # Wall-clock bound for the structural stages (LASG, nonunifying
+        # build, verification): bounded, so a hung stage cannot wedge the
+        # run, but generous, because those stages normally finish in
+        # milliseconds and a (near) zero *search* budget is a legitimate
+        # "nonunifying only" mode that must not starve them.
+        self._stage_limit = max(4 * time_limit, 10.0)
 
         # One lookahead-sensitive graph per finder: its skeleton memo is
         # shared across this finder's conflicts (including the nonunifying
@@ -286,7 +220,7 @@ class CounterexampleFinder:
     def _stage_budget(self, stage: str) -> Budget:
         """A fresh budget for one structural stage."""
         return Budget(
-            time_limit=self.stage_time_limit,
+            time_limit=self._stage_limit,
             max_nodes=self.max_configurations,
             token=self.token,
             stage=stage,
@@ -321,40 +255,17 @@ class CounterexampleFinder:
             assert outcome.degraded is not None
             degradations.append(outcome.degraded)
 
-        stats: SearchStats | None = None
-        timed_out = False
-        counterexample: Counterexample | None = None
-        verified: bool | None = None
-
         # Rung 1: the unifying search (skipped entirely once the
         # cumulative budget is spent, as in the paper).
+        stats: SearchStats | None = None
+        counterexample: Counterexample | None = None
+        verified: bool | None = None
         budget_left = self.cumulative_limit - self._unifying_budget_spent
         if path is not None and budget_left > 0:
-            result, degraded = self._run_search(
-                conflict, path, min(self.time_limit, budget_left)
+            stats, counterexample, verified = self._unifying(
+                conflict, path, min(self.time_limit, budget_left), degradations
             )
-            if degraded is not None:
-                degradations.append(degraded)
-            if result is not None:
-                stats = result.stats
-                self._unifying_budget_spent += stats.elapsed
-                timed_out = stats.timed_out
-                if result.counterexample is not None:
-                    candidate = result.counterexample
-                    if self.verify:
-                        with metrics.span("verify"):
-                            verify_outcome = run_guarded(
-                                Stage.VERIFY, self._verify, candidate
-                            )
-                        if verify_outcome.ok:
-                            verified = verify_outcome.value
-                        else:
-                            assert verify_outcome.degraded is not None
-                            degradations.append(verify_outcome.degraded)
-                        if verified:
-                            counterexample = candidate
-                    else:
-                        counterexample = candidate
+        timed_out = stats is not None and stats.timed_out
 
         # Rung 2: the nonunifying fallback.
         if counterexample is None and path is not None:
@@ -403,10 +314,21 @@ class CounterexampleFinder:
             degradations=degradations,
         )
 
-    def _run_search(
-        self, conflict: Conflict, path: list[LASGEdge], time_limit: float
-    ):
-        """Rung-1 search under guard; returns ``(result, degradation)``."""
+    def _unifying(
+        self,
+        conflict: Conflict,
+        path: list[LASGEdge],
+        time_limit: float,
+        degradations: list[DegradedExplanation],
+    ) -> tuple[SearchStats | None, Counterexample | None, bool | None]:
+        """Rung 1: search under guard, charge the cumulative budget, verify.
+
+        Returns ``(stats, counterexample, verified)``. ``stats`` is
+        ``None`` when the search itself failed; ``counterexample`` is the
+        unifying candidate only if it passed verification (or
+        verification is off). Stage failures are appended to
+        *degradations*.
+        """
         allowed = None if self.extended_search else path_states(path)
         search = UnifyingSearch(
             self.automaton,
@@ -421,7 +343,20 @@ class CounterexampleFinder:
         )
         with metrics.span("search"):
             outcome = run_guarded(Stage.SEARCH, search.run)
-        return outcome.value, outcome.degraded
+        if not outcome.ok:
+            degradations.append(outcome.degraded)
+            return None, None, None
+        result = outcome.value
+        self._unifying_budget_spent += result.stats.elapsed
+        candidate = result.counterexample
+        if candidate is None or not self.verify:
+            return result.stats, candidate, None
+        with metrics.span("verify"):
+            checked = run_guarded(Stage.VERIFY, self._verify, candidate)
+        if not checked.ok:
+            degradations.append(checked.degraded)
+            return result.stats, None, None
+        return result.stats, candidate if checked.value else None, checked.value
 
     def _stub(
         self, conflict: Conflict, path: list[LASGEdge] | None
@@ -451,20 +386,57 @@ class CounterexampleFinder:
                 reports.append(self.explain(conflict))
         except Cancelled as error:
             for conflict in conflicts[len(reports):]:
-                reports.append(self._cancelled_report(conflict, error))
+                reports.append(self.cancelled_report(conflict, error))
+        return self.finish(reports)
 
+    def finish(self, reports: list[FinderReport]) -> FinderSummary:
+        """Retry timed-out conflicts if enabled, then fold the Table 1 summary.
+
+        *reports* holds one entry per conflict, in conflict order; the
+        retry round upgrades entries in place. The cumulative budget
+        already spent is what the reports' searches took, so the
+        outcome is the same whether this finder or pool workers
+        produced them.
+        """
+        retried = upgraded = 0
         if self.retry_timed_out and not (self.token and self.token.cancelled):
-            retried, upgraded = self._retry_pass(reports)
-        else:
-            retried = upgraded = 0
-
-        return aggregate_reports(
-            self.grammar.name, reports, retried=retried, upgraded=upgraded
+            self._unifying_budget_spent = sum(
+                report.stats.elapsed for report in reports if report.stats is not None
+            )
+            retried, upgraded = self._retry_round(reports)
+        summary = FinderSummary(
+            grammar_name=self.grammar.name,
+            num_conflicts=len(reports),
+            num_retried=retried,
+            num_retry_upgraded=upgraded,
+            reports=list(reports),
         )
+        for report in reports:
+            if report.degradations:
+                summary.num_degraded += 1
+                for degraded in report.degradations:
+                    stage = degraded.stage.value
+                    summary.degraded_by_stage[stage] = (
+                        summary.degraded_by_stage.get(stage, 0) + 1
+                    )
+            if report.rung is Rung.UNIFYING:
+                summary.num_unifying += 1
+            elif report.rung is Rung.STUB:
+                summary.num_stub += 1
+            elif report.timed_out:
+                summary.num_timeout += 1
+            else:
+                summary.num_nonunifying += 1
+                if report.stats is None:
+                    summary.num_skipped_search += 1
+            if not report.timed_out:
+                summary.total_time += report.unifying_time
+        return summary
 
-    def _cancelled_report(
+    def cancelled_report(
         self, conflict: Conflict, error: Cancelled
     ) -> FinderReport:
+        """The stub entry for a conflict the cancelled run never finished."""
         try:
             stage = Stage(error.stage) if error.stage else Stage.LASG
         except ValueError:
@@ -479,37 +451,15 @@ class CounterexampleFinder:
             degradations=[degradation_from(stage, error)],
         )
 
-    def _retry_pass(self, reports: list[FinderReport]) -> tuple[int, int]:
-        """Re-search timed-out conflicts under the finder's retry policy.
+    def _retry_round(self, reports: list[FinderReport]) -> tuple[int, int]:
+        """Re-search timed-out conflicts once; returns ``(retried, upgraded)``.
 
-        Each round splits the leftover cumulative budget evenly among the
-        still-timed-out conflicts, escalating each retry's time limit
-        beyond the original per-conflict cap when plenty is left. Rounds
-        continue while the policy allows and candidates remain; the
-        policy's (seeded-jitter) backoff separates rounds. A retry that
+        The leftover cumulative budget is split evenly among the
+        timed-out conflicts, escalating each retry's time limit beyond
+        the original per-conflict cap when plenty is left. A retry that
         finds (and verifies) a unifying counterexample upgrades the
         report entry in place.
         """
-        retried = upgraded = 0
-        rng = random.Random(0)
-        for attempt in range(1, self.retry_policy.max_attempts):
-            if attempt > 1:
-                pause = self.retry_policy.delay(attempt - 1, rng)
-                if pause > 0.0:
-                    self._retry_sleep(pause)
-            round_retried, round_upgraded, candidates_left = self._retry_round(
-                reports
-            )
-            retried += round_retried
-            upgraded += round_upgraded
-            if not candidates_left:
-                break
-        return retried, upgraded
-
-    def _retry_round(
-        self, reports: list[FinderReport]
-    ) -> tuple[int, int, bool]:
-        """One retry round; returns ``(retried, upgraded, more_left)``."""
         leftover = self.cumulative_limit - self._unifying_budget_spent
         candidates = [
             index
@@ -517,7 +467,7 @@ class CounterexampleFinder:
             if report.timed_out and report.rung is not Rung.UNIFYING
         ]
         if leftover <= 0 or not candidates:
-            return 0, 0, False
+            return 0, 0
         per_conflict = leftover / len(candidates)
         retried = upgraded = 0
         for index in candidates:
@@ -533,48 +483,25 @@ class CounterexampleFinder:
             if not path_outcome.ok:
                 continue
             retried += 1
-            result, degraded = self._run_search(
-                report.conflict, path_outcome.value, per_conflict
+            stats, counterexample, verified = self._unifying(
+                report.conflict, path_outcome.value, per_conflict,
+                report.degradations,
             )
-            if degraded is not None:
-                report.degradations.append(degraded)
+            if counterexample is None:
                 continue
-            if result is None or result.counterexample is None:
-                if result is not None:
-                    self._unifying_budget_spent += result.stats.elapsed
-                continue
-            self._unifying_budget_spent += result.stats.elapsed
-            candidate = result.counterexample
-            verified: bool | None = None
-            if self.verify:
-                verify_outcome = run_guarded(Stage.VERIFY, self._verify, candidate)
-                if verify_outcome.ok:
-                    verified = verify_outcome.value
-                else:
-                    assert verify_outcome.degraded is not None
-                    report.degradations.append(verify_outcome.degraded)
-                if not verified:
-                    continue
             reports[index] = FinderReport(
                 conflict=report.conflict,
-                counterexample=candidate,
-                unifying_time=report.unifying_time + result.stats.elapsed,
+                counterexample=counterexample,
+                unifying_time=report.unifying_time + stats.elapsed,
                 timed_out=False,
-                stats=result.stats,
+                stats=stats,
                 verified=verified,
                 rung=Rung.UNIFYING,
                 degradations=report.degradations,
                 retried=True,
             )
             upgraded += 1
-        more_left = (
-            self.cumulative_limit - self._unifying_budget_spent > 0
-            and any(
-                report.timed_out and report.rung is not Rung.UNIFYING
-                for report in reports
-            )
-        )
-        return retried, upgraded, more_left
+        return retried, upgraded
 
     # ------------------------------------------------------------------ #
 
@@ -598,7 +525,7 @@ class CounterexampleFinder:
                 yield1,
                 step_budget=self.verify_step_budget,
                 budget=Budget(
-                    time_limit=self.stage_time_limit,
+                    time_limit=self._stage_limit,
                     token=self.token,
                     stage="verify",
                 ),

@@ -23,9 +23,18 @@ Design notes:
   time in the worst case. This errs on the side of finding more unifying
   counterexamples; serial-equivalent accounting would need a shared
   clock across processes for no user-visible benefit.
-* The budget-escalating retry pass (``retry_timed_out``) runs in the
-  *parent* over the merged report list, reusing the serial finder's
-  retry logic verbatim.
+* The parent builds one :class:`~repro.core.finder.CounterexampleFinder`
+  and hands it the merged, conflict-ordered reports:
+  :meth:`~repro.core.finder.CounterexampleFinder.finish` runs the
+  budget-escalating retry round (``retry_timed_out``) and aggregates,
+  exactly as at the end of a serial run.
+* A :class:`~repro.robust.budget.CancellationToken` is honoured by the
+  parent: it polls the token while waiting, and once it fires it cancels
+  the pending tasks and terminates the workers. As in a serial run, the
+  reports collected so far are kept and every later conflict gets the
+  Cancelled stub, so the summary stays complete. Workers ignore SIGINT
+  and take SIGTERM's default action, so a process-group ``^C`` reaches
+  only the parent, which then stops them.
 * When profiling is active in the parent, each task also ships back its
   worker-side metrics delta, which the parent merges — span totals and
   counters therefore aggregate CPU time across workers (wall-clock
@@ -35,18 +44,22 @@ Design notes:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any
+import signal
+from typing import TYPE_CHECKING, Any
 
 from repro.automaton.lalr import LALRAutomaton, build_lalr
-from repro.core.finder import (
-    CounterexampleFinder,
-    FinderReport,
-    FinderSummary,
-    aggregate_reports,
-)
+from repro.core.finder import CounterexampleFinder, FinderReport, FinderSummary
 from repro.grammar import Grammar
 from repro.perf import metrics
+from repro.robust.budget import CancellationToken
+from repro.robust.degrade import Stage
+from repro.robust.errors import Cancelled
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+#: Seconds between cancellation-token polls while waiting on workers.
+POLL_SECONDS = 0.05
 
 # Per-process worker state, populated by the pool initializer.
 _WORKER_FINDER: CounterexampleFinder | None = None
@@ -60,6 +73,10 @@ def _init_worker(
     global _WORKER_FINDER, _WORKER_COLLECT
     from repro.automaton.serialize import load_automaton
 
+    # A forked worker inherits the parent's signal handlers; cancellation
+    # is the parent's job, which terminates workers with SIGTERM.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     automaton = load_automaton(payload)
     _WORKER_FINDER = CounterexampleFinder(automaton, **finder_kwargs)
     _WORKER_COLLECT = collect
@@ -88,6 +105,7 @@ def resolve_jobs(jobs: int | None) -> int:
 def explain_all_parallel(
     source: Grammar | LALRAutomaton,
     jobs: int | None = None,
+    token: CancellationToken | None = None,
     **finder_kwargs: Any,
 ) -> FinderSummary:
     """Parallel drop-in for :meth:`CounterexampleFinder.explain_all`.
@@ -96,32 +114,26 @@ def explain_all_parallel(
         source: A grammar or a prebuilt automaton.
         jobs: Worker process count; ``None``/``0`` uses the CPU count,
             ``1`` falls back to the serial finder in-process (no pool).
+        token: Cooperative cancellation, polled by the parent; see the
+            module notes.
         **finder_kwargs: Forwarded to :class:`CounterexampleFinder` in
-            every worker (``time_limit``, ``verify``, ...). The
-            ``token`` cancellation hook is parent-side only and not
-            supported here; ``retry_timed_out`` runs in the parent.
+            the parent and every worker (``time_limit``, ``verify``,
+            ``retry_timed_out``, ...).
 
     Returns:
         A :class:`FinderSummary` whose ``reports`` are in conflict order,
-        aggregated by the same :func:`aggregate_reports` as the serial
-        path.
+        finished by the same :meth:`CounterexampleFinder.finish` as the
+        serial path.
     """
-    if "token" in finder_kwargs and finder_kwargs["token"] is not None:
-        raise ValueError(
-            "cooperative cancellation tokens do not cross process "
-            "boundaries; use the serial finder for cancellable runs"
-        )
-    finder_kwargs.pop("token", None)
     jobs = resolve_jobs(jobs)
-    # A bool or a RetryPolicy — preserved as-is for the parent finder.
-    retry = finder_kwargs.pop("retry_timed_out", False)
-
     automaton = source if isinstance(source, LALRAutomaton) else build_lalr(source)
+    finder = CounterexampleFinder(automaton, token=token, **finder_kwargs)
     conflicts = automaton.conflicts
     if jobs == 1 or len(conflicts) <= 1:
-        return CounterexampleFinder(
-            automaton, retry_timed_out=retry, **finder_kwargs
-        ).explain_all()
+        return finder.explain_all()
+
+    # Imported here: the serial path (and CLI start-up) skips the cost.
+    from concurrent.futures import ProcessPoolExecutor
 
     from repro.automaton.serialize import dump_automaton
 
@@ -129,34 +141,61 @@ def explain_all_parallel(
         payload = dump_automaton(automaton)
     collector = metrics.active()
 
-    reports: list[FinderReport] = []
+    reports: list[FinderReport | None] = [None] * len(conflicts)
     with metrics.span("parallel/pool"):
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(conflicts)),
             initializer=_init_worker,
             initargs=(payload, finder_kwargs, collector is not None),
         ) as pool:
-            # ``map`` preserves submission order: reports come back in
-            # conflict order no matter which worker finishes first.
-            for report, delta in pool.map(_explain_index, range(len(conflicts))):
-                reports.append(report)
+            futures = [
+                pool.submit(_explain_index, index) for index in range(len(conflicts))
+            ]
+            # Collected in submission order: reports come back in conflict
+            # order no matter which worker finishes first.
+            for index, future in enumerate(futures):
+                outcome = _result_unless_cancelled(future, token)
+                if outcome is None:
+                    _stop(pool)
+                    break
+                reports[index], delta = outcome
                 if collector is not None and delta is not None:
                     collector.merge(metrics.MetricsCollector.from_json(delta))
-    metrics.count("parallel.tasks", len(reports))
+    metrics.count("parallel.tasks", sum(report is not None for report in reports))
 
-    retried = upgraded = 0
-    if retry:
-        # Parent-side retry pass, sharing the serial finder's logic. The
-        # parent finder starts with the budget already spent by workers
-        # (their per-report search times), mirroring serial accounting.
-        parent = CounterexampleFinder(
-            automaton, retry_timed_out=retry, **finder_kwargs
-        )
-        parent._unifying_budget_spent = sum(
-            report.stats.elapsed for report in reports if report.stats is not None
-        )
-        retried, upgraded = parent._retry_pass(reports)
+    if None in reports:
+        assert token is not None
+        error = Cancelled(token.reason or "cancelled", stage=Stage.LASG.value)
+        reports = [
+            report if report is not None else finder.cancelled_report(conflict, error)
+            for report, conflict in zip(reports, conflicts)
+        ]
+    return finder.finish(reports)
 
-    return aggregate_reports(
-        automaton.grammar.name, reports, retried=retried, upgraded=upgraded
-    )
+
+def _result_unless_cancelled(
+    future: Future, token: CancellationToken | None
+) -> tuple[FinderReport, dict[str, Any] | None] | None:
+    """The task's result, or ``None`` once *token* has fired."""
+    import concurrent.futures as futures
+
+    while token is None or not token.cancelled:
+        try:
+            return future.result(timeout=POLL_SECONDS)
+        except futures.TimeoutError:
+            continue
+        except futures.BrokenExecutor:
+            if token is None or not token.cancelled:
+                raise
+            # A worker killed by the same process-group signal.
+    return None
+
+
+def _stop(pool: ProcessPoolExecutor) -> None:
+    """Drop queued tasks and terminate the workers running the others."""
+    # ProcessPoolExecutor has no public way to stop running tasks before
+    # Python 3.14; its worker processes are in ``_processes``. Joining the
+    # executor afterwards lets its manager thread wind down before exit.
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)

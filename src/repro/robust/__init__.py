@@ -3,8 +3,8 @@
 This package makes the whole counterexample pipeline budget-governed,
 cancellable, and fault-isolated:
 
-* :mod:`repro.robust.budget` — the unified :class:`Budget` /
-  :class:`Deadline` / :class:`CancellationToken` model, polled
+* :mod:`repro.robust.budget` — the unified :class:`Budget` (wall clock,
+  node cap, cancellation) and :class:`CancellationToken`, polled
   cooperatively with an adaptive cadence;
 * :mod:`repro.robust.errors` — the structured
   :class:`ExplanationError` hierarchy the stages raise;
@@ -15,12 +15,14 @@ cancellable, and fault-isolated:
   registry tests use to prove the ladder always terminates;
 * :mod:`repro.robust.ledger` — the generic crash-safe snapshot ledger
   (append-only JSONL, torn-write tolerant, atomically rotated) behind
-  the service journal and the campaign shard checkpoints.
+  the service journal and the campaign shard checkpoints;
+* :mod:`repro.robust.retry` — the :class:`RetryPolicy` backoff schedule
+  the service supervisor re-spawns crashed workers with.
 
 See ``docs/ROBUSTNESS.md`` for the full model.
 """
 
-from repro.robust.budget import AdaptiveTicker, Budget, CancellationToken, Deadline
+from repro.robust.budget import AdaptiveTicker, Budget, CancellationToken
 from repro.robust.degrade import (
     DegradedExplanation,
     GuardOutcome,
@@ -33,7 +35,6 @@ from repro.robust.errors import (
     BudgetExhausted,
     Cancelled,
     ExplanationError,
-    MemoryBudgetExceeded,
     PathNotFoundError,
     SearchTimeout,
     VerificationFailed,
@@ -55,7 +56,7 @@ from repro.robust.faults import (
     specs_to_env,
 )
 from repro.robust.ledger import ReplayStats, SnapshotLedger
-from repro.robust.retry import NO_RETRY, RetryPolicy, call_with_retry
+from repro.robust.retry import RetryPolicy
 
 __all__ = [
     "AdaptiveTicker",
@@ -64,7 +65,6 @@ __all__ = [
     "Cancelled",
     "CancellationToken",
     "ENV_FAULTS",
-    "Deadline",
     "DegradedExplanation",
     "ExplanationError",
     "FaultKind",
@@ -76,8 +76,6 @@ __all__ = [
     "InjectedFault",
     "InjectedHang",
     "InjectedTornWrite",
-    "MemoryBudgetExceeded",
-    "NO_RETRY",
     "PathNotFoundError",
     "ReplayStats",
     "RetryPolicy",
@@ -86,7 +84,6 @@ __all__ = [
     "SearchTimeout",
     "Stage",
     "VerificationFailed",
-    "call_with_retry",
     "degradation_from",
     "fire",
     "inject_faults",

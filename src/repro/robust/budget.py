@@ -5,15 +5,14 @@ finder and search used to carry separately (a per-conflict deadline
 polled every 256 expansions, a cumulative stopwatch, and a bare
 configuration cap). A budget combines:
 
-* a wall-clock :class:`Deadline` (optional);
+* a wall-clock deadline (optional);
 * a discrete node/configuration/step cap (optional);
-* a ``tracemalloc`` memory high-water mark (optional);
 * a shared :class:`CancellationToken` (optional).
 
 Budgets are *cooperative*: governed loops call :meth:`Budget.charge` for
 every unit of work and :meth:`Budget.poll` once per iteration. ``poll``
 keeps the cheap checks (cancellation flag, node count) on every call and
-gates the expensive ones (``time.monotonic``, ``tracemalloc``) behind an
+gates the expensive one (``time.monotonic``) behind an
 :class:`AdaptiveTicker`, whose cadence starts at 1, grows geometrically
 while iterations are fast, and collapses back to 1 the moment a slow
 stretch is observed — so a burst of expensive expansions can never
@@ -23,15 +22,9 @@ overrun the deadline by a whole fixed-size polling window.
 from __future__ import annotations
 
 import time
-import tracemalloc
 from typing import Callable
 
-from repro.robust.errors import (
-    BudgetExhausted,
-    Cancelled,
-    MemoryBudgetExceeded,
-    SearchTimeout,
-)
+from repro.robust.errors import BudgetExhausted, Cancelled, SearchTimeout
 
 Clock = Callable[[], float]
 
@@ -65,28 +58,6 @@ class CancellationToken:
     def raise_if_cancelled(self, stage: str | None = None) -> None:
         if self._cancelled:
             raise Cancelled(self._reason or "cancelled", stage=stage)
-
-
-class Deadline:
-    """An absolute wall-clock deadline."""
-
-    __slots__ = ("at", "_clock")
-
-    def __init__(self, at: float, clock: Clock = time.monotonic) -> None:
-        self.at = at
-        self._clock = clock
-
-    @classmethod
-    def after(cls, seconds: float, clock: Clock = time.monotonic) -> "Deadline":
-        return cls(clock() + seconds, clock)
-
-    def remaining(self) -> float:
-        """Seconds left, clamped at zero."""
-        return max(0.0, self.at - self._clock())
-
-    @property
-    def expired(self) -> bool:
-        return self._clock() >= self.at
 
 
 class AdaptiveTicker:
@@ -144,9 +115,6 @@ class Budget:
         max_nodes: Cap on units charged via :meth:`charge`
             (configurations, vertices, Earley steps — the stage decides
             the unit).
-        max_memory_bytes: ``tracemalloc`` high-water mark relative to the
-            baseline at start. Tracing is started on demand and noted, so
-            :meth:`close` can stop it again.
         token: Shared cancellation token.
         stage: Default stage name attached to raised errors.
         clock: Injectable clock (tests use a fake).
@@ -156,58 +124,35 @@ class Budget:
         self,
         time_limit: float | None = None,
         max_nodes: int | None = None,
-        max_memory_bytes: int | None = None,
         token: CancellationToken | None = None,
         stage: str | None = None,
         clock: Clock = time.monotonic,
     ) -> None:
         self.time_limit = time_limit
         self.max_nodes = max_nodes
-        self.max_memory_bytes = max_memory_bytes
         self.token = token
         self.stage = stage
         self._clock = clock
         self.nodes_spent = 0
         self._started_at: float | None = None
-        self._deadline: Deadline | None = None
-        self._memory_baseline = 0
-        self._owns_tracing = False
+        self._deadline: float | None = None
         self._ticker = AdaptiveTicker(clock=clock)
 
     # ------------------------------------------------------------------ #
 
     def start(self) -> "Budget":
-        """Anchor the deadline and memory baseline now (idempotent)."""
+        """Anchor the deadline now (idempotent)."""
         if self._started_at is None:
             self._started_at = self._clock()
             if self.time_limit is not None:
-                self._deadline = Deadline.after(self.time_limit, self._clock)
-            if self.max_memory_bytes is not None:
-                if not tracemalloc.is_tracing():
-                    tracemalloc.start()
-                    self._owns_tracing = True
-                self._memory_baseline = tracemalloc.get_traced_memory()[0]
+                self._deadline = self._started_at + self.time_limit
         return self
-
-    def close(self) -> None:
-        """Stop ``tracemalloc`` if this budget started it."""
-        if self._owns_tracing and tracemalloc.is_tracing():
-            tracemalloc.stop()
-            self._owns_tracing = False
 
     def elapsed(self) -> float:
         """Wall-clock seconds since the budget was first used."""
         if self._started_at is None:
             return 0.0
         return self._clock() - self._started_at
-
-    def remaining_time(self) -> float | None:
-        """Seconds left on the deadline, or ``None`` when unbounded."""
-        if self.time_limit is None:
-            return None
-        self.start()
-        assert self._deadline is not None
-        return self._deadline.remaining()
 
     # ------------------------------------------------------------------ #
 
@@ -218,8 +163,8 @@ class Budget:
     def poll(self, stage: str | None = None) -> None:
         """Cheap per-iteration check; full check at the ticker's cadence.
 
-        Raises :class:`Cancelled`, :class:`BudgetExhausted`,
-        :class:`MemoryBudgetExceeded`, or :class:`SearchTimeout`.
+        Raises :class:`Cancelled`, :class:`BudgetExhausted`, or
+        :class:`SearchTimeout`.
         """
         stage = stage or self.stage
         if self.token is not None and self.token.cancelled:
@@ -234,7 +179,7 @@ class Budget:
             self.check(stage)
 
     def check(self, stage: str | None = None) -> None:
-        """Unconditional full check (deadline + memory + cheap checks)."""
+        """Unconditional full check (deadline + cheap checks)."""
         stage = stage or self.stage
         self.start()
         if self.token is not None:
@@ -245,42 +190,9 @@ class Budget:
                 stage=stage,
                 nodes_spent=self.nodes_spent,
             )
-        if self._deadline is not None and self._deadline.expired:
+        if self._deadline is not None and self._clock() >= self._deadline:
             raise SearchTimeout(
                 f"time limit of {self.time_limit}s expired",
                 stage=stage,
                 elapsed=round(self.elapsed(), 4),
             )
-        if self.max_memory_bytes is not None and tracemalloc.is_tracing():
-            current = tracemalloc.get_traced_memory()[0]
-            used = current - self._memory_baseline
-            if used > self.max_memory_bytes:
-                raise MemoryBudgetExceeded(
-                    f"memory budget of {self.max_memory_bytes} bytes exceeded",
-                    stage=stage,
-                    bytes_used=used,
-                )
-
-    # ------------------------------------------------------------------ #
-
-    def sub(
-        self,
-        time_limit: float | None = None,
-        max_nodes: int | None = None,
-        stage: str | None = None,
-    ) -> "Budget":
-        """A child budget sharing this budget's token and clock.
-
-        The child's time limit is clipped to the parent's remaining time,
-        so a sub-stage can never outlive the stage that spawned it.
-        """
-        remaining = self.remaining_time()
-        if remaining is not None:
-            time_limit = remaining if time_limit is None else min(time_limit, remaining)
-        return Budget(
-            time_limit=time_limit,
-            max_nodes=max_nodes,
-            token=self.token,
-            stage=stage or self.stage,
-            clock=self._clock,
-        )

@@ -13,7 +13,6 @@ The hierarchy::
     ├── PathNotFoundError        the LASG / backward walk found no path
     ├── SearchTimeout            a wall-clock deadline expired
     ├── BudgetExhausted          a node/step/configuration budget ran out
-    │   └── MemoryBudgetExceeded the tracemalloc high-water mark was hit
     ├── VerificationFailed       the Earley oracle rejected a candidate
     └── Cancelled                the caller's CancellationToken fired
 
@@ -69,10 +68,6 @@ class SearchTimeout(ExplanationError):
 
 class BudgetExhausted(ExplanationError):
     """A discrete budget (configurations, nodes, steps) ran out."""
-
-
-class MemoryBudgetExceeded(BudgetExhausted):
-    """The ``tracemalloc`` high-water mark exceeded the memory budget."""
 
 
 class VerificationFailed(ExplanationError):

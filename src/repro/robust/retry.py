@@ -1,11 +1,10 @@
 """Generic retry policy: capped attempts, exponential backoff, jitter.
 
-Every retry loop in the system — the finder's budget-escalating re-search
-of timed-out conflicts, the service supervisor's re-spawn of crashed
-workers, the parallel explainer's parent-side retry — used to hard-code
-its own attempt accounting. :class:`RetryPolicy` centralises the policy
-half (how many attempts, how long to wait between them) while leaving
-the mechanism (what "failure" means, how to sleep) to the caller:
+:class:`RetryPolicy` is the policy half of a retry loop (how many
+attempts, how long to wait between them); the caller keeps the
+mechanism (what "failure" means, how to sleep). The service supervisor
+consumes :meth:`RetryPolicy.delay` when it re-spawns crashed workers,
+awaiting its own sleeps:
 
 * delays grow geometrically from ``base_delay`` by ``multiplier`` and
   are clamped at ``max_delay``;
@@ -15,20 +14,12 @@ the mechanism (what "failure" means, how to sleep) to the caller:
 * ``max_attempts`` counts *total* attempts including the first, so
   ``max_attempts=1`` means "never retry" and the default of 3 means
   "two retries".
-
-:func:`call_with_retry` is the plain synchronous executor for callers
-without their own loop; async callers (the service supervisor) consume
-:meth:`RetryPolicy.delay` directly and ``await`` their own sleeps.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -83,50 +74,5 @@ class RetryPolicy:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(0.0, raw)
 
-    def delays(self, rng: random.Random | None = None) -> Iterator[float]:
-        """The full backoff schedule: one delay per allowed retry."""
-        for attempt in range(1, self.max_attempts):
-            yield self.delay(attempt, rng)
 
-
-#: "Never retry" — a single attempt, no backoff.
-NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
-
-
-def call_with_retry(
-    fn: Callable[[], T],
-    policy: RetryPolicy,
-    *,
-    retriable: tuple[type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-    rng: random.Random | None = None,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> T:
-    """Run *fn* under *policy*; re-raise the last error when it gives up.
-
-    Args:
-        fn: Zero-argument callable to attempt.
-        policy: Attempt/backoff policy.
-        retriable: Exception types that trigger a retry; anything else
-            propagates immediately.
-        sleep: Injectable sleeper (tests pass a recorder).
-        rng: Jitter source; ``None`` disables jitter.
-        on_retry: Observer called with ``(attempt, error)`` before each
-            backoff sleep.
-    """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return fn()
-        except retriable as error:
-            if not policy.should_retry(attempt):
-                raise
-            if on_retry is not None:
-                on_retry(attempt, error)
-            pause = policy.delay(attempt, rng)
-            if pause > 0.0:
-                sleep(pause)
-
-
-__all__ = ["NO_RETRY", "RetryPolicy", "call_with_retry"]
+__all__ = ["RetryPolicy"]

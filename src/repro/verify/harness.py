@@ -218,36 +218,35 @@ class _Examination:
         return {kind for kind, _ in self.problems}
 
 
+#: Cap on re-examinations while shrinking one failing grammar.
+MAX_SHRINK_ATTEMPTS = 200
+
+
 class FuzzHarness:
     """Runs the generate→explain→validate loop and shrinks failures.
+
+    Every iteration runs every check, and a crash in any of them is a
+    fatal campaign failure:
+
+    * every static lint pass (findings are expected — random grammars
+      are messy — so only crashes count);
+    * the cross-construction differential oracle;
+    * provenance classification of each conflict as genuine LR(1) vs
+      LALR merge artifact (exercising the minimal-LR(1) splitter);
+    * the bounded SR pair walk (:mod:`repro.analysis`), tallying its
+      verdicts: every ``ambiguous`` witness is re-proven by the
+      validator, and a conflict proved ``unambiguous`` that the finder
+      explains with a verified unifying counterexample is a
+      walk/search contradiction;
+    * the validator, GLR cross-check included, on every counterexample.
 
     Args:
         config: Grammar distribution knobs (see :class:`FuzzConfig`).
         time_limit: Per-conflict unifying-search budget (kept small —
             fuzz grammars are tiny and timeouts are only informational).
         cumulative_limit: Per-grammar unifying-search budget.
-        differential: Run the cross-construction oracle each iteration.
-        provenance_check: Classify every conflict as genuine-LR(1) vs
-            LALR merge artifact (exercising the minimal-LR(1) splitter on
-            each conflicted fuzz grammar); classification crashes are
-            fatal campaign failures.
-        ambiguity_check: Run the bounded SR pair walk
-            (:mod:`repro.analysis`) on every conflict, tallying the
-            unambiguous/ambiguous/inconclusive verdicts; every
-            ``ambiguous`` witness is re-proven by the independent
-            validator (a rejection is a fatal campaign failure), and a
-            walker crash is fatal too (broken-walker canary). A conflict
-            proved ``unambiguous`` that the finder explains with a
-            verified unifying counterexample is a fatal
-            walk/search contradiction.
-        glr_check: Ask the validator for the GLR cross-check as well.
-        lint_check: Run every static lint pass on each fuzzed grammar;
-            any pass crash is classified as a fatal campaign failure
-            (crash-freedom canary for :mod:`repro.lint`). Lint findings
-            themselves are expected — random grammars are messy — so only
-            crashes count.
-        shrink: Minimise failing grammars before reporting.
-        max_shrink_attempts: Cap on re-examinations during shrinking.
+        shrink: Minimise failing grammars before reporting (at most
+            :data:`MAX_SHRINK_ATTEMPTS` re-examinations).
         oracle_samples: Sample count per polarity for the oracle.
         max_lr1_states: Canonical LR(1) cap for the oracle.
         glr_max_configurations: GLR cap for the validator's cross-check.
@@ -267,13 +266,7 @@ class FuzzHarness:
         config: FuzzConfig | None = None,
         time_limit: float = 0.3,
         cumulative_limit: float = 2.0,
-        differential: bool = True,
-        provenance_check: bool = True,
-        ambiguity_check: bool = True,
-        glr_check: bool = True,
-        lint_check: bool = True,
         shrink: bool = True,
-        max_shrink_attempts: int = 200,
         oracle_samples: int = 6,
         max_lr1_states: int = 2_000,
         glr_max_configurations: int = 300,
@@ -283,13 +276,7 @@ class FuzzHarness:
         self.fuzzer = GrammarFuzzer(config)
         self.time_limit = time_limit
         self.cumulative_limit = cumulative_limit
-        self.differential = differential
-        self.provenance_check = provenance_check
-        self.ambiguity_check = ambiguity_check
-        self.glr_check = glr_check
-        self.lint_check = lint_check
         self.shrink = shrink
-        self.max_shrink_attempts = max_shrink_attempts
         self.oracle_samples = oracle_samples
         self.max_lr1_states = max_lr1_states
         self.glr_max_configurations = glr_max_configurations
@@ -433,41 +420,39 @@ class FuzzHarness:
             )
             return result
 
-        if self.lint_check:
-            from repro.lint import LintConfig, run_lint
+        from repro.lint import LintConfig, run_lint
 
-            try:
-                lint_report = run_lint(
-                    grammar,
-                    config=LintConfig(max_lr1_states=self.max_lr1_states),
-                    automaton=automaton,
-                )
-            except Exception as error:  # noqa: BLE001
-                result.problems.append(
-                    (FailureKind.CRASH, f"lint pass raised {error!r}")
-                )
-            else:
-                result.lint_diagnostics = len(lint_report.diagnostics)
+        try:
+            lint_report = run_lint(
+                grammar,
+                config=LintConfig(max_lr1_states=self.max_lr1_states),
+                automaton=automaton,
+            )
+        except Exception as error:  # noqa: BLE001
+            result.problems.append(
+                (FailureKind.CRASH, f"lint pass raised {error!r}")
+            )
+        else:
+            result.lint_diagnostics = len(lint_report.diagnostics)
 
-        if self.differential:
-            try:
-                oracle_report = DifferentialOracle(
-                    grammar,
-                    automaton=automaton,
-                    max_lr1_states=self.max_lr1_states,
-                    num_samples=self.oracle_samples,
-                    seed=seed,
-                ).check()
-            except Exception as error:  # noqa: BLE001
+        try:
+            oracle_report = DifferentialOracle(
+                grammar,
+                automaton=automaton,
+                max_lr1_states=self.max_lr1_states,
+                num_samples=self.oracle_samples,
+                seed=seed,
+            ).check()
+        except Exception as error:  # noqa: BLE001
+            result.problems.append(
+                (FailureKind.CRASH, f"differential oracle raised {error!r}")
+            )
+        else:
+            result.samples = oracle_report.samples_checked
+            for disagreement in oracle_report.disagreements:
                 result.problems.append(
-                    (FailureKind.CRASH, f"differential oracle raised {error!r}")
+                    (FailureKind.ORACLE_DISAGREEMENT, str(disagreement))
                 )
-            else:
-                result.samples = oracle_report.samples_checked
-                for disagreement in oracle_report.disagreements:
-                    result.problems.append(
-                        (FailureKind.ORACLE_DISAGREEMENT, str(disagreement))
-                    )
 
         try:
             finder = CounterexampleFinder(
@@ -484,7 +469,7 @@ class FuzzHarness:
             )
             return result
 
-        if self.provenance_check and automaton.conflicts:
+        if automaton.conflicts:
             from repro.automaton.ielr import ProvenanceVerdict, classify_conflicts
 
             try:
@@ -505,7 +490,7 @@ class FuzzHarness:
                     elif entry.verdict is ProvenanceVerdict.GENUINE:
                         result.genuine += 1
 
-        if self.ambiguity_check and automaton.conflicts:
+        if automaton.conflicts:
             from repro.analysis import AmbiguityVerdict, analyze_conflicts
 
             try:
@@ -567,7 +552,7 @@ class FuzzHarness:
         try:
             validator = CounterexampleValidator(
                 grammar,
-                glr_check=self.glr_check,
+                glr_check=True,
                 glr_max_configurations=self.glr_max_configurations,
                 earley_step_budget=self.verify_step_budget,
             )
@@ -610,7 +595,7 @@ class FuzzHarness:
         attempts = 0
         current = grammar
         improved = True
-        while improved and attempts < self.max_shrink_attempts:
+        while improved and attempts < MAX_SHRINK_ATTEMPTS:
             improved = False
             productions = list(current.user_productions())
             for index in range(len(productions)):
@@ -618,7 +603,7 @@ class FuzzHarness:
                 if candidate is None:
                     continue
                 attempts += 1
-                if attempts >= self.max_shrink_attempts:
+                if attempts >= MAX_SHRINK_ATTEMPTS:
                     break
                 if kind in self._examine(candidate, seed).problem_kinds():
                     current = candidate

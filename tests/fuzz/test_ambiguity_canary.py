@@ -44,12 +44,6 @@ class TestInjectedFixtures:
             )
             assert total == examination.conflicts, name
 
-    def test_ambiguity_check_can_be_disabled(self):
-        harness = FuzzHarness(shrink=False, ambiguity_check=False)
-        examination = harness._examine(load("nonlalr01"), seed=0)
-        assert examination.ambiguity_unambiguous == 0
-        assert examination.ambiguity_ambiguous == 0
-        assert examination.ambiguity_inconclusive == 0
 
 
 class TestCampaignCounters:

@@ -22,14 +22,6 @@ class TestLintRunsDuringFuzzing:
         assert report.lint_diagnostics > 0
         assert "lint diagnostics:" in report.describe()
 
-    def test_lint_check_can_be_disabled(self):
-        report = run_fuzz_campaign(
-            5, seed=0, lint_check=False, **SMOKE_OPTIONS
-        )
-        assert report.ok, report.describe()
-        assert report.lint_diagnostics == 0
-
-
 class TestBrokenLintPassFailsCampaign:
     def test_raising_rule_is_classified_as_crash(self, monkeypatch):
         def explode(ctx):

@@ -27,10 +27,6 @@ class TestInjectedNonLalrGrammar:
         assert examination.genuine == 1
         assert examination.merge_artifacts == 0
 
-    def test_provenance_check_can_be_disabled(self):
-        harness = FuzzHarness(shrink=False, provenance_check=False)
-        examination = harness._examine(load("nonlalr01"), seed=0)
-        assert examination.merge_artifacts == examination.genuine == 0
 
 
 class TestCampaignCounters:

@@ -80,11 +80,35 @@ class TestParallelEquality:
         assert parallel.num_nonunifying == serial.num_nonunifying
         assert parallel.num_stub == serial.num_stub
 
-    def test_token_is_rejected(self, figure1):
+    def test_pre_cancelled_token_matches_serial(self, figure1):
+        from repro.core.report import summary_to_json
         from repro.robust.budget import CancellationToken
 
-        with pytest.raises(ValueError):
-            explain_all_parallel(figure1, jobs=2, token=CancellationToken())
+        def cancelled() -> CancellationToken:
+            token = CancellationToken()
+            token.cancel("received SIGTERM")
+            return token
+
+        serial = CounterexampleFinder(figure1, token=cancelled()).explain_all()
+        parallel = explain_all_parallel(figure1, jobs=2, token=cancelled())
+        assert parallel.complete
+        assert parallel.num_stub == parallel.num_conflicts
+        assert summary_to_json(parallel) == summary_to_json(serial)
+
+    @pytest.mark.parametrize("name", ["figure1", "stackovf10"])
+    def test_retry_round_matches_serial(self, name):
+        from repro.corpus import registry
+
+        grammar = registry.load(name)
+        options = dict(time_limit=0.0, cumulative_limit=30.0, retry_timed_out=True)
+        serial = CounterexampleFinder(grammar, **options).explain_all()
+        parallel = explain_all_parallel(grammar, jobs=2, **options)
+        assert [safe_format_report(r) for r in parallel.reports] == [
+            safe_format_report(r) for r in serial.reports
+        ]
+        assert serial.num_retried == serial.num_retry_upgraded == serial.num_conflicts
+        assert parallel.num_retried == serial.num_retried
+        assert parallel.num_retry_upgraded == serial.num_retry_upgraded
 
     def test_worker_metrics_merge_into_parent(self, figure1):
         from repro.perf import metrics

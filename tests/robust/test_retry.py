@@ -1,4 +1,4 @@
-"""The generic RetryPolicy and its Finder retrofit."""
+"""The generic RetryPolicy (the service supervisor's backoff schedule)."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import random
 
 import pytest
 
-from repro.core import CounterexampleFinder
-from repro.grammar import load_grammar
-from repro.robust import NO_RETRY, RetryPolicy, call_with_retry
+from repro.robust import RetryPolicy
 
 
 class TestRetryPolicy:
@@ -19,10 +17,6 @@ class TestRetryPolicy:
         assert policy.should_retry(1)
         assert policy.should_retry(2)
         assert not policy.should_retry(3)
-
-    def test_no_retry_sentinel(self):
-        assert NO_RETRY.max_retries == 0
-        assert not NO_RETRY.should_retry(1)
 
     def test_exponential_backoff_without_jitter(self):
         policy = RetryPolicy(
@@ -57,89 +51,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(jitter=-0.1)
 
-    def test_delays_iterator_matches_delay(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.5, jitter=0.0)
-        assert list(policy.delays()) == [
-            policy.delay(1), policy.delay(2), policy.delay(3),
-        ]
-
-
-class TestCallWithRetry:
-    def test_succeeds_first_try_without_sleeping(self):
-        sleeps: list[float] = []
-        result = call_with_retry(
-            lambda: 42,
-            RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0),
-            sleep=sleeps.append,
-        )
-        assert result == 42
-        assert sleeps == []
-
-    def test_retries_then_succeeds_with_recorded_backoff(self):
-        attempts = {"n": 0}
-
-        def flaky() -> str:
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                raise OSError("transient")
-            return "ok"
-
-        sleeps: list[float] = []
-        result = call_with_retry(
-            flaky,
-            RetryPolicy(max_attempts=4, base_delay=0.1, multiplier=2.0, jitter=0.0),
-            retriable=(OSError,),
-            sleep=sleeps.append,
-        )
-        assert result == "ok"
-        assert attempts["n"] == 3
-        assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
-
-    def test_exhaustion_reraises_the_last_error(self):
-        def always_fails() -> None:
-            raise OSError("permanent-looking")
-
-        with pytest.raises(OSError):
-            call_with_retry(
-                always_fails,
-                RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
-                retriable=(OSError,),
-                sleep=lambda _s: None,
-            )
-
-    def test_non_retriable_errors_pass_straight_through(self):
-        calls = {"n": 0}
-
-        def fails_differently() -> None:
-            calls["n"] += 1
-            raise KeyError("not retriable")
-
-        with pytest.raises(KeyError):
-            call_with_retry(
-                fails_differently,
-                RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0),
-                retriable=(OSError,),
-                sleep=lambda _s: None,
-            )
-        assert calls["n"] == 1
-
-    def test_on_retry_callback_observes_each_failure(self):
-        seen: list[tuple[int, str]] = []
-
-        def flaky() -> str:
-            if len(seen) < 2:
-                raise OSError(f"fail-{len(seen)}")
-            return "done"
-
-        call_with_retry(
-            flaky,
-            RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
-            retriable=(OSError,),
-            sleep=lambda _s: None,
-            on_retry=lambda attempt, error: seen.append((attempt, str(error))),
-        )
-        assert seen == [(1, "fail-0"), (2, "fail-1")]
-
 
 AMBIG = """
 %grammar ambiguous-expr
@@ -149,36 +60,30 @@ e : e '+' e | e '*' e | ID ;
 
 
 class TestFinderRetrofit:
-    def _automaton(self):
-        from repro.automaton import build_automaton
+    """The finder's ``retry_timed_out`` is a plain bool, not a policy."""
 
-        return build_automaton(load_grammar(AMBIG))
+    def _explain(self, retry: bool):
+        from repro.automaton import build_automaton
+        from repro.core import CounterexampleFinder
+        from repro.grammar import load_grammar
+
+        return CounterexampleFinder(
+            build_automaton(load_grammar(AMBIG)),
+            # A zero search budget times every first search out.
+            time_limit=0.0,
+            cumulative_limit=30.0,
+            retry_timed_out=retry,
+        ).explain_all()
 
     def test_bool_true_maps_to_one_immediate_retry(self):
-        finder = CounterexampleFinder(self._automaton(), retry_timed_out=True)
-        assert finder.retry_timed_out
-        assert finder.retry_policy.max_attempts == 2
-        assert finder.retry_policy.base_delay == 0.0
+        summary = self._explain(True)
+        assert summary.num_conflicts >= 1
+        # One round: every timed-out conflict is re-searched once.
+        assert summary.num_retried == summary.num_conflicts
+        assert summary.num_retry_upgraded == summary.num_conflicts
+        assert all(report.retried for report in summary.reports)
 
     def test_bool_false_maps_to_no_retry(self):
-        finder = CounterexampleFinder(self._automaton(), retry_timed_out=False)
-        assert not finder.retry_timed_out
-        assert finder.retry_policy is NO_RETRY
-
-    def test_policy_object_is_used_verbatim_and_sleeps_are_paced(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.25, jitter=0.0)
-        sleeps: list[float] = []
-        finder = CounterexampleFinder(
-            self._automaton(),
-            # A microscopic budget forces timeouts, exercising the pass.
-            time_limit=1e-9,
-            cumulative_limit=10.0,
-            retry_timed_out=policy,
-            retry_sleep=sleeps.append,
-        )
-        assert finder.retry_policy is policy
-        summary = finder.explain_all()
-        assert summary.num_conflicts >= 1
-        # Any sleeps the retry pass made follow the policy's schedule.
-        for recorded in sleeps:
-            assert recorded in (pytest.approx(0.25), pytest.approx(0.5))
+        summary = self._explain(False)
+        assert summary.num_retried == summary.num_retry_upgraded == 0
+        assert summary.num_timeout == summary.num_conflicts

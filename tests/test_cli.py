@@ -54,6 +54,14 @@ class TestCLI:
         path.write_text("s : @@@")
         assert main([str(path)]) == 2
 
+    def test_negative_jobs_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--corpus", "figure1", "--jobs", "-2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err
+        assert "Traceback" not in err
+
     def test_list_corpus(self, capsys):
         assert main(["--list-corpus"]) == 0
         output = capsys.readouterr().out
@@ -411,6 +419,45 @@ class TestSignalCancellation:
             )
             for report in data["reports"]
         )
+
+    def test_sigterm_stops_parallel_run_promptly(self, tmp_path):
+        import json
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        out = tmp_path / "interrupted.json"
+        env = dict(os.environ, PYTHONPATH="src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro",
+                "--corpus", "C.4",
+                "--time-limit", "60",
+                "--cumulative-limit", "600",
+                "--jobs", "2",
+                "--quiet",
+                "--robust-report", str(out),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        time.sleep(2.0)
+        signalled = time.monotonic()
+        process.send_signal(signal.SIGTERM)
+        stdout, stderr = process.communicate(timeout=60)
+        # The workers are stopped, not waited for: their searches would
+        # run for up to a minute each.
+        assert time.monotonic() - signalled < 10.0
+        assert process.returncode == 130
+        assert "received SIGTERM" in stderr
+        assert "Traceback" not in stderr
+        data = json.loads(out.read_text())
+        assert data["complete"]
+        assert data["conflicts"] == len(data["reports"])
 
     def test_token_cancellation_in_process(self, capsys):
         """The same machinery, driven without a real signal."""
