@@ -106,16 +106,17 @@ def _run_corpus_unit(
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     from repro.automaton.ielr import ProvenanceVerdict, classify_conflicts
     from repro.corpus import registry
-    from repro.lint import LintConfig, run_lint
+    from repro.lint import LintContext, run_lint
     from repro.perf.cache import analyze_conflicts_cached, build_automaton_cached
 
     grammar = registry.load(unit.key)
     automaton = build_automaton_cached(grammar, cache)
-    lint_report = run_lint(
+    context = LintContext(
         grammar,
-        config=LintConfig(max_lr1_states=spec.max_lr1_states),
         automaton=automaton if automaton.algorithm == "lalr" else None,
+        max_lr1_states=spec.max_lr1_states,
     )
+    lint_report = run_lint(grammar, context=context)
     lint_counts = {"info": 0, "warning": 0, "error": 0}
     for diagnostic in lint_report.diagnostics:
         lint_counts[diagnostic.severity.value] += 1

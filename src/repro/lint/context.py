@@ -2,10 +2,13 @@
 
 Every pass receives one :class:`LintContext`. Expensive artifacts — the
 grammar analysis, the LALR automaton, parse tables, the SLR conflict
-count, the canonical LR(1) automaton — are computed at most once per lint
-run and shared across passes. The canonical LR(1) construction is capped
-(it can be exponential); passes must treat :attr:`LintContext.lr1` being
-``None`` with :attr:`lr1_capped` set as "unknown", not "clean".
+count, the canonical and minimal LR(1) automata, the SR-walk verdicts and
+conflict provenance — are computed at most once per context and shared
+across passes. The fuzz harness hands the same context to the
+differential oracle, so one examination builds each artifact once. The
+canonical LR(1) construction is capped (it can be exponential); passes
+must treat :attr:`LintContext.lr1` being ``None`` with :attr:`lr1_capped`
+set as "unknown", not "clean".
 """
 
 from __future__ import annotations
@@ -69,6 +72,15 @@ class LintContext:
             return None
 
     @cached_property
+    def minimal_lr1(self):
+        """The minimal-LR(1) automaton built from :attr:`lr1`, or ``None``
+        when LR(1) is capped."""
+        from repro.automaton.ielr import build_ielr
+
+        lr1 = self.lr1
+        return None if lr1 is None else build_ielr(self.grammar, lr1=lr1)
+
+    @cached_property
     def ambiguity_verdicts(self):
         """Per-conflict SR-walk ambiguity verdicts (empty if conflict-free)."""
         from repro.analysis import analyze_conflicts
@@ -80,8 +92,12 @@ class LintContext:
         """Per-conflict genuine/merge-artifact classification."""
         from repro.automaton.ielr import classify_conflicts
 
+        if not self.conflicts:
+            return {}
         return classify_conflicts(
-            self.automaton, max_lr1_states=self.max_lr1_states
+            self.automaton,
+            max_lr1_states=self.max_lr1_states,
+            minimal=self.minimal_lr1,
         )
 
     # ------------------------------------------------------------------ #

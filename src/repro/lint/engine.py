@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.automaton.lalr import LALRAutomaton
 from repro.grammar import Grammar
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Diagnostic, Severity
@@ -85,21 +84,19 @@ def run_lint(
     grammar: Grammar,
     config: LintConfig | None = None,
     source_path: str | None = None,
-    automaton: LALRAutomaton | None = None,
+    context: LintContext | None = None,
 ) -> LintReport:
     """Run the selected lint passes over *grammar*.
 
-    *automaton* lets callers that already built the LALR automaton (the
-    CLI's conflict path, the fuzz harness) share it instead of paying for
-    a second construction. Pass crashes propagate to the caller.
+    *context* lets callers that already hold the grammar's artifacts (the
+    fuzz harness, the campaign runner) share them instead of paying for a
+    second construction; its own LR(1) cap then applies. Pass crashes
+    propagate to the caller.
     """
     config = config if config is not None else LintConfig()
     rules = config.selected_rules()
-    ctx = LintContext(
-        grammar,
-        source_path=source_path,
-        automaton=automaton,
-        max_lr1_states=config.max_lr1_states,
+    ctx = context if context is not None else LintContext(
+        grammar, source_path=source_path, max_lr1_states=config.max_lr1_states
     )
     diagnostics: list[Diagnostic] = []
     for rule in rules:

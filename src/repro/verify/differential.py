@@ -34,50 +34,41 @@ random derivation, negative samples by random token strings):
 * a grammar with zero unresolved conflicts never yields two distinct GLR
   parses (conflict-free LALR implies unambiguous).
 
-Static-analysis invariants tying the SR pair walk
-(:mod:`repro.analysis`) to the runtimes:
+One static-analysis invariant ties the SR pair walk
+(:mod:`repro.analysis`) to the runtimes: a grammar whose conflicts are
+**all** proved ``unambiguous`` (with no precedence-resolved table entries
+hiding further conflicts) never yields an ambiguous sampled sentence.
+The walk's per-conflict checks — every ``ambiguous`` witness re-proved,
+no ``unambiguous`` conflict with a verified unifying counterexample —
+need the finder's reports and live in the fuzz harness
+(:mod:`repro.verify.harness`), so this module knows nothing of how
+counterexamples are found.
 
-* every conflict the walk proves ``ambiguous`` carries a witness
-  sentence for which the Earley oracle finds two distinct derivations;
-* no conflict the walk proves ``unambiguous`` has a unifying
-  counterexample that the finder's Earley verification accepts;
-* a grammar whose conflicts are **all** proved ``unambiguous`` (with no
-  precedence-resolved table entries hiding further conflicts) never
-  yields an ambiguous sampled sentence.
+Every artifact — the LALR automaton, canonical and minimal LR(1), the
+walk verdicts — is read from one :class:`~repro.lint.context.LintContext`,
+which the harness shares with the lint passes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.automaton.lalr import LALRAutomaton, build_lalr
 from repro.automaton.lr1 import LR1Automaton
 from repro.automaton.slr import compute_slr_lookaheads
-from repro.grammar import END_OF_INPUT, Grammar, Nonterminal, Symbol, Terminal
-from repro.parsing.earley import EarleyParser
+from repro.grammar import END_OF_INPUT, Nonterminal, Symbol, Terminal
+from repro.parsing.earley import DerivationBudgetExceeded, EarleyParser
 from repro.parsing.glr import GLRParser, TooManyParses
 from repro.parsing.runtime import LRParser, ParseError
 
-#: Unifying-search seconds per conflict the walk proves ``unambiguous``
-#: (a search there should never succeed; running out of time is fine).
-UNAMBIGUOUS_SEARCH_LIMIT = 0.3
+if TYPE_CHECKING:
+    from repro.lint.context import LintContext
 
-
-def walk_search_contradictions(verdicts, reports) -> list:
-    """Conflicts the SR walk proves ``unambiguous`` that a finder report
-    explains with a verified unifying counterexample — impossible unless
-    the walk or the search is wrong."""
-    from repro.analysis import AmbiguityVerdict
-
-    return [
-        report.conflict
-        for report in reports
-        if report.verified
-        and report.counterexample is not None
-        and report.counterexample.unifying
-        and verdicts[report.conflict].verdict is AmbiguityVerdict.UNAMBIGUOUS
-    ]
+#: Token budget for sampled sentences.
+MAX_SAMPLE_LENGTH = 24
+#: GLR live-configuration cap; blow-ups are skipped, not failed.
+GLR_MAX_CONFIGURATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -119,33 +110,20 @@ class DifferentialOracle:
     """Checks one grammar's constructions and runtimes against each other.
 
     Args:
-        grammar: The grammar under test.
-        automaton: Optional prebuilt LALR automaton (shared with callers).
-        max_lr1_states: Skip the canonical LR(1) comparison beyond this
-            (state explosion on large grammars).
+        context: The grammar's shared artifacts; its LR(1) cap bounds the
+            canonical LR(1) comparison (skipped, not failed, beyond it).
         num_samples: Positive and negative sample sentences each.
-        max_sample_length: Token budget for sampled sentences.
-        glr_max_configurations: GLR cap; blow-ups are skipped, not failed.
         seed: PRNG seed for sampling (deterministic per grammar+seed).
     """
 
     def __init__(
-        self,
-        grammar: Grammar,
-        automaton: LALRAutomaton | None = None,
-        max_lr1_states: int = 5_000,
-        num_samples: int = 8,
-        max_sample_length: int = 24,
-        glr_max_configurations: int = 500,
-        seed: int = 0,
+        self, context: LintContext, num_samples: int = 8, seed: int = 0
     ) -> None:
-        self.grammar = grammar
-        self.automaton = automaton if automaton is not None else build_lalr(grammar)
+        self.context = context
+        self.grammar = context.grammar
+        self.automaton = context.automaton
         self.analysis = self.automaton.analysis
-        self.max_lr1_states = max_lr1_states
         self.num_samples = num_samples
-        self.max_sample_length = max_sample_length
-        self.glr_max_configurations = glr_max_configurations
         self.seed = seed
 
     # ------------------------------------------------------------------ #
@@ -154,8 +132,13 @@ class DifferentialOracle:
         """Run every invariant; collect disagreements instead of raising."""
         report = DifferentialReport(grammar_name=self.grammar.name)
         self._check_slr_containment(report)
-        lr1 = self._build_lr1(report)
-        if lr1 is not None:
+        lr1 = self.context.lr1
+        if lr1 is None:
+            report.skipped.append(
+                "lr1-agreement: canonical LR(1) construction exceeded "
+                f"{self.context.max_lr1_states} states"
+            )
+        else:
             self._check_lr1_agreement(report, lr1)
             self._check_ielr_agreement(report, lr1)
         self._check_runtime_agreement(report)
@@ -178,14 +161,6 @@ class DifferentialOracle:
                         f"SLR FOLLOW set",
                     )
                 )
-
-    def _build_lr1(self, report: DifferentialReport) -> LR1Automaton | None:
-        """The canonical LR(1) automaton, shared by the LR(1)/IELR checks."""
-        try:
-            return LR1Automaton(self.grammar, max_states=self.max_lr1_states)
-        except RuntimeError as error:
-            report.skipped.append(f"lr1-agreement: {error}")
-            return None
 
     def _check_lr1_agreement(
         self, report: DifferentialReport, lr1: LR1Automaton
@@ -242,16 +217,11 @@ class DifferentialOracle:
         self, report: DifferentialReport, lr1: LR1Automaton
     ) -> None:
         from repro.automaton.ielr import (
-            build_ielr,
             canonical_conflict_signatures,
             conflict_signatures,
         )
 
-        try:
-            ielr = build_ielr(self.grammar, lr1=lr1)
-        except RuntimeError as error:
-            report.skipped.append(f"ielr-agreement: {error}")
-            return
+        ielr = self.context.minimal_lr1
         ielr_signatures = conflict_signatures(ielr)
         lr1_signatures = canonical_conflict_signatures(lr1)
         if ielr_signatures != lr1_signatures:
@@ -334,9 +304,7 @@ class DifferentialOracle:
             return
         rng = random.Random(self.seed)
         earley = EarleyParser(self.grammar)
-        glr = GLRParser(
-            self.automaton, max_configurations=self.glr_max_configurations
-        )
+        glr = GLRParser(self.automaton, max_configurations=GLR_MAX_CONFIGURATIONS)
         lr = LRParser(self.automaton, allow_conflicts=True)
         has_precedence = len(self.grammar.precedence) > 0
         conflict_free = not self.automaton.conflicts
@@ -349,7 +317,7 @@ class DifferentialOracle:
                 samples.append((sentence, True))
         for _ in range(self.num_samples):
             if terminal_pool:
-                length = rng.randint(0, min(6, self.max_sample_length))
+                length = rng.randint(0, min(6, MAX_SAMPLE_LENGTH))
                 samples.append(
                     ([rng.choice(terminal_pool) for _ in range(length)], False)
                 )
@@ -422,74 +390,23 @@ class DifferentialOracle:
                 )
 
     def _check_ambiguity_agreement(self, report: DifferentialReport) -> None:
-        """The SR pair walk must never contradict the Earley oracle.
-
-        Every ``ambiguous`` verdict's witness is re-counted by Earley
-        (< 2 derivations is a disagreement), every ``unambiguous``
-        conflict is searched for a unifying counterexample (a verified
-        one is a disagreement), and when *every* conflict
-        is proved ``unambiguous`` — and no precedence-resolved entries
-        hide further nondeterminism — no sampled sentence may be
-        ambiguous. Walker exceptions propagate: the fuzz harness
-        classifies them as crashes (broken-walker canary).
+        """When *every* conflict is proved ``unambiguous`` — and no
+        precedence-resolved entries hide further nondeterminism — no
+        sampled sentence may be ambiguous. Walker exceptions propagate:
+        the fuzz harness classifies them as crashes (broken-walker
+        canary).
         """
         conflicts = self.automaton.tables.conflicts
         if not conflicts:
             return
-        from repro.analysis import AmbiguityVerdict, analyze_conflicts
-        from repro.core.finder import CounterexampleFinder
-        from repro.parsing.earley import DerivationBudgetExceeded
+        from repro.analysis import AmbiguityVerdict
 
-        verdicts = analyze_conflicts(self.automaton)
-        earley = EarleyParser(self.grammar)
-        step_budget = 200_000
-        start = self.grammar.start
-        for conflict, verdict in verdicts.items():
-            if verdict.verdict is not AmbiguityVerdict.AMBIGUOUS:
-                continue
-            witness = list(verdict.witness or ())
-            rendered = " ".join(t.name for t in witness) or "<empty>"
-            try:
-                count = earley.count_derivations(
-                    start, witness, limit=2, step_budget=step_budget
-                )
-            except DerivationBudgetExceeded:
-                report.skipped.append(
-                    "ambiguity-agreement: derivation count ran out of "
-                    f"budget on {rendered!r}"
-                )
-                continue
-            if count < 2:
-                report.disagreements.append(
-                    Disagreement(
-                        "ambiguity-witness-invalid",
-                        f"the SR walk claims {rendered!r} has two "
-                        f"derivations for [{conflict}] but Earley finds "
-                        f"{count}",
-                    )
-                )
-        proven = [
+        proven = {
             conflict
-            for conflict, verdict in verdicts.items()
+            for conflict, verdict in self.context.ambiguity_verdicts.items()
             if verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS
-        ]
-        if proven:
-            finder = CounterexampleFinder(
-                self.automaton,
-                time_limit=UNAMBIGUOUS_SEARCH_LIMIT,
-                cumulative_limit=UNAMBIGUOUS_SEARCH_LIMIT * len(proven),
-                verify=True,
-            )
-            explained = map(finder.explain, proven)
-            for conflict in walk_search_contradictions(verdicts, explained):
-                report.disagreements.append(
-                    Disagreement(
-                        "unambiguous-despite-unifying-counterexample",
-                        f"the SR walk proves [{conflict}] unambiguous but "
-                        "the finder verifies a unifying counterexample",
-                    )
-                )
-        if len(proven) < len(verdicts):
+        }
+        if not proven.issuperset(conflicts):
             return
         if self.automaton.tables.resolved_count:
             report.skipped.append(
@@ -497,11 +414,13 @@ class DifferentialOracle:
                 "conflicts the walk never saw"
             )
             return
+        start = self.grammar.start
         if start in self.grammar.nonproductive_nonterminals:
             report.skipped.append(
                 "ambiguity-agreement: start symbol nonproductive"
             )
             return
+        earley = EarleyParser(self.grammar)
         rng = random.Random(self.seed + 1)
         for _ in range(self.num_samples):
             sentence = self._sample_sentence(rng)
@@ -511,7 +430,7 @@ class DifferentialOracle:
             rendered = " ".join(t.name for t in sentence) or "<empty>"
             try:
                 count = earley.count_derivations(
-                    start, sentence, limit=2, step_budget=step_budget
+                    start, sentence, limit=2, step_budget=200_000
                 )
             except DerivationBudgetExceeded:
                 report.skipped.append(
@@ -556,8 +475,7 @@ class DifferentialOracle:
             assert isinstance(symbol, Nonterminal)
             steps += 1
             over_budget = (
-                steps > 4 * self.max_sample_length
-                or len(result) >= self.max_sample_length
+                steps > 4 * MAX_SAMPLE_LENGTH or len(result) >= MAX_SAMPLE_LENGTH
             )
             if over_budget or symbol in self.grammar.nonproductive_nonterminals:
                 try:

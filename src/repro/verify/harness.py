@@ -4,13 +4,19 @@ One fuzz iteration closes the whole loop the library exists for:
 
 1. :class:`~repro.verify.fuzz.GrammarFuzzer` draws a random grammar from
    the iteration seed;
-2. the LALR automaton is built and the
-   :class:`~repro.verify.differential.DifferentialOracle` checks it
-   against the SLR/LR(1) constructions and the three parser runtimes;
+2. the LALR automaton is built into one
+   :class:`~repro.lint.context.LintContext`, which every lint pass and
+   the :class:`~repro.verify.differential.DifferentialOracle` share: the
+   oracle checks the automaton against the SLR/LR(1) constructions and
+   the three parser runtimes;
 3. the :class:`~repro.core.finder.CounterexampleFinder` explains every
    conflict;
-4. the :class:`~repro.verify.validate.CounterexampleValidator`
-   independently re-proves each counterexample.
+4. the context's SR-walk verdicts are held to the finder's reports
+   (:meth:`FuzzHarness._check_verdicts` — the only place the walk and
+   the search are cross-checked);
+5. one :class:`~repro.verify.validate.CounterexampleValidator`
+   independently re-proves each counterexample and each ambiguity
+   witness.
 
 Anything that goes wrong is *classified* — validator rejection, oracle
 disagreement, walk/search contradiction, finder timeout, or crash — and
@@ -32,8 +38,9 @@ from dataclasses import dataclass, field
 from repro.core.finder import CounterexampleFinder
 from repro.grammar import Grammar, dump_grammar
 from repro.grammar.errors import GrammarError
+from repro.lint import LintContext, run_lint
 from repro.robust.faults import registry as fault_registry
-from repro.verify.differential import DifferentialOracle, walk_search_contradictions
+from repro.verify.differential import DifferentialOracle
 from repro.verify.fuzz import FuzzConfig, GrammarFuzzer
 from repro.verify.validate import CounterexampleValidator
 
@@ -234,10 +241,10 @@ class FuzzHarness:
     * provenance classification of each conflict as genuine LR(1) vs
       LALR merge artifact (exercising the minimal-LR(1) splitter);
     * the bounded SR pair walk (:mod:`repro.analysis`), tallying its
-      verdicts: every ``ambiguous`` witness is re-proven by the
-      validator, and a conflict proved ``unambiguous`` that the finder
-      explains with a verified unifying counterexample is a
-      walk/search contradiction;
+      verdicts: every conflict must get exactly one verdict, every
+      ``ambiguous`` witness is re-proven by the validator, and a
+      conflict proved ``unambiguous`` that the finder explains with a
+      verified unifying counterexample is a walk/search contradiction;
     * the validator, GLR cross-check included, on every counterexample.
 
     Args:
@@ -248,7 +255,8 @@ class FuzzHarness:
         shrink: Minimise failing grammars before reporting (at most
             :data:`MAX_SHRINK_ATTEMPTS` re-examinations).
         oracle_samples: Sample count per polarity for the oracle.
-        max_lr1_states: Canonical LR(1) cap for the oracle.
+        max_lr1_states: Canonical LR(1) cap for the shared context (lint,
+            oracle and provenance).
         glr_max_configurations: GLR cap for the validator's cross-check.
             Kept small: on heavily cyclic fuzz grammars a large cap burns
             seconds per counterexample only to blow up anyway, and
@@ -378,36 +386,6 @@ class FuzzHarness:
     # ------------------------------------------------------------------ #
     # One grammar through the whole loop
 
-    def _check_witness(
-        self, grammar: Grammar, conflict, verdict, result: _Examination
-    ) -> None:
-        """Re-prove one ``ambiguous`` verdict's witness independently."""
-        from repro.verify.validate import CounterexampleValidator
-
-        try:
-            outcome = CounterexampleValidator(
-                grammar,
-                glr_check=False,
-                earley_step_budget=self.verify_step_budget,
-            ).validate_witness(verdict.witness or ())
-        except Exception as error:  # noqa: BLE001
-            result.problems.append(
-                (
-                    FailureKind.CRASH,
-                    f"ambiguity witness validation raised {error!r} on "
-                    f"[{conflict}]",
-                )
-            )
-            return
-        if not outcome.ok:
-            result.problems.append(
-                (
-                    FailureKind.VALIDATOR_REJECTION,
-                    f"ambiguity witness for [{conflict}] rejected: "
-                    + "; ".join(outcome.failures),
-                )
-            )
-
     def _examine(self, grammar: Grammar, seed: int) -> _Examination:
         result = _Examination()
         try:
@@ -419,15 +397,14 @@ class FuzzHarness:
                 (FailureKind.CRASH, f"automaton construction raised {error!r}")
             )
             return result
-
-        from repro.lint import LintConfig, run_lint
+        # One artifact set per examination: lint, the oracle and the
+        # checks below all read the same LR(1) automata and walk verdicts.
+        context = LintContext(
+            grammar, automaton=automaton, max_lr1_states=self.max_lr1_states
+        )
 
         try:
-            lint_report = run_lint(
-                grammar,
-                config=LintConfig(max_lr1_states=self.max_lr1_states),
-                automaton=automaton,
-            )
+            lint_report = run_lint(grammar, context=context)
         except Exception as error:  # noqa: BLE001
             result.problems.append(
                 (FailureKind.CRASH, f"lint pass raised {error!r}")
@@ -437,11 +414,7 @@ class FuzzHarness:
 
         try:
             oracle_report = DifferentialOracle(
-                grammar,
-                automaton=automaton,
-                max_lr1_states=self.max_lr1_states,
-                num_samples=self.oracle_samples,
-                seed=seed,
+                context, num_samples=self.oracle_samples, seed=seed
             ).check()
         except Exception as error:  # noqa: BLE001
             result.problems.append(
@@ -469,13 +442,24 @@ class FuzzHarness:
             )
             return result
 
+        try:
+            validator = CounterexampleValidator(
+                grammar,
+                glr_check=True,
+                glr_max_configurations=self.glr_max_configurations,
+                earley_step_budget=self.verify_step_budget,
+            )
+        except Exception as error:  # noqa: BLE001
+            result.problems.append(
+                (FailureKind.CRASH, f"validator construction raised {error!r}")
+            )
+            return result
+
         if automaton.conflicts:
-            from repro.automaton.ielr import ProvenanceVerdict, classify_conflicts
+            from repro.automaton.ielr import ProvenanceVerdict
 
             try:
-                provenance = classify_conflicts(
-                    automaton, max_lr1_states=self.max_lr1_states
-                )
+                provenance = context.provenance
             except Exception as error:  # noqa: BLE001
                 result.problems.append(
                     (
@@ -490,32 +474,14 @@ class FuzzHarness:
                     elif entry.verdict is ProvenanceVerdict.GENUINE:
                         result.genuine += 1
 
-        if automaton.conflicts:
-            from repro.analysis import AmbiguityVerdict, analyze_conflicts
-
             try:
-                verdicts = analyze_conflicts(automaton)
+                verdicts = context.ambiguity_verdicts
             except Exception as error:  # noqa: BLE001
                 result.problems.append(
                     (FailureKind.CRASH, f"ambiguity walk raised {error!r}")
                 )
             else:
-                for conflict in walk_search_contradictions(verdicts, summary.reports):
-                    result.problems.append(
-                        (
-                            FailureKind.WALK_CONTRADICTION,
-                            f"conflict [{conflict}] proved unambiguous by the "
-                            "SR walk has a verified unifying counterexample",
-                        )
-                    )
-                for conflict, verdict in verdicts.items():
-                    if verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS:
-                        result.ambiguity_unambiguous += 1
-                    elif verdict.verdict is AmbiguityVerdict.AMBIGUOUS:
-                        result.ambiguity_ambiguous += 1
-                        self._check_witness(grammar, conflict, verdict, result)
-                    else:
-                        result.ambiguity_inconclusive += 1
+                self._check_verdicts(verdicts, summary.reports, validator, result)
 
         result.conflicts = summary.num_conflicts
         result.unifying = summary.num_unifying
@@ -549,18 +515,6 @@ class FuzzHarness:
                 )
             )
 
-        try:
-            validator = CounterexampleValidator(
-                grammar,
-                glr_check=True,
-                glr_max_configurations=self.glr_max_configurations,
-                earley_step_budget=self.verify_step_budget,
-            )
-        except Exception as error:  # noqa: BLE001
-            result.problems.append(
-                (FailureKind.CRASH, f"validator construction raised {error!r}")
-            )
-            return result
         for finder_report in summary.reports:
             if finder_report.counterexample is None:
                 continue  # stub rung: nothing to validate
@@ -585,6 +539,76 @@ class FuzzHarness:
                     )
                 )
         return result
+
+    @staticmethod
+    def _check_verdicts(verdicts, reports, validator, result: _Examination) -> None:
+        """Hold the SR walk's verdicts to the finder's reports.
+
+        Every conflict gets exactly one verdict; no conflict the walk
+        proves ``unambiguous`` has a verified unifying counterexample
+        (impossible unless the walk or the search is wrong); and every
+        ``ambiguous`` witness is re-proved by the validator.
+        """
+        from repro.analysis import AmbiguityVerdict
+
+        conflicts = [report.conflict for report in reports]
+        missing = [conflict for conflict in conflicts if conflict not in verdicts]
+        unknown = [conflict for conflict in verdicts if conflict not in conflicts]
+        for stray, what in (
+            (missing, "left conflicts without a verdict"),
+            (unknown, "gave verdicts for unknown conflicts"),
+        ):
+            if stray:
+                result.problems.append(
+                    (
+                        FailureKind.CRASH,
+                        f"ambiguity walk {what}: "
+                        + ", ".join(f"[{conflict}]" for conflict in stray),
+                    )
+                )
+        for report in reports:
+            verdict = verdicts.get(report.conflict)
+            if (
+                verdict is not None
+                and verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS
+                and report.verified
+                and report.counterexample is not None
+                and report.counterexample.unifying
+            ):
+                result.problems.append(
+                    (
+                        FailureKind.WALK_CONTRADICTION,
+                        f"conflict [{report.conflict}] proved unambiguous by "
+                        "the SR walk has a verified unifying counterexample",
+                    )
+                )
+        for conflict, verdict in verdicts.items():
+            if verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS:
+                result.ambiguity_unambiguous += 1
+                continue
+            if verdict.verdict is not AmbiguityVerdict.AMBIGUOUS:
+                result.ambiguity_inconclusive += 1
+                continue
+            result.ambiguity_ambiguous += 1
+            try:
+                outcome = validator.validate_witness(verdict.witness or ())
+            except Exception as error:  # noqa: BLE001
+                result.problems.append(
+                    (
+                        FailureKind.CRASH,
+                        f"ambiguity witness validation raised {error!r} on "
+                        f"[{conflict}]",
+                    )
+                )
+                continue
+            if not outcome.ok:
+                result.problems.append(
+                    (
+                        FailureKind.VALIDATOR_REJECTION,
+                        f"ambiguity witness for [{conflict}] rejected: "
+                        + "; ".join(outcome.failures),
+                    )
+                )
 
     # ------------------------------------------------------------------ #
     # Shrinking: greedy production removal preserving the failure kind

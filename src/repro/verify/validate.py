@@ -41,6 +41,9 @@ from repro.grammar import (
 from repro.parsing.earley import DerivationBudgetExceeded, EarleyParser
 from repro.parsing.glr import GLRParser, TooManyParses
 
+#: The GLR cross-check is skipped for concretised strings longer than this.
+MAX_CONCRETE_LENGTH = 80
+
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -111,8 +114,6 @@ class CounterexampleValidator:
             cached per root nonterminal).
         glr_max_configurations: Live-configuration cap for the GLR
             cross-check; blow-ups are recorded as skipped checks.
-        max_concrete_length: Skip the GLR cross-check for concretised
-            strings longer than this.
         earley_step_budget: Step cap for the Earley derivation count;
             running out (possible only on heavily cyclic grammars) records
             the ambiguity check as skipped, never as failed.
@@ -123,13 +124,11 @@ class CounterexampleValidator:
         grammar: Grammar,
         glr_check: bool = False,
         glr_max_configurations: int = 2_000,
-        max_concrete_length: int = 80,
         earley_step_budget: int | None = 500_000,
     ) -> None:
         self.grammar = grammar
         self.glr_check = glr_check
         self.glr_max_configurations = glr_max_configurations
-        self.max_concrete_length = max_concrete_length
         self.earley_step_budget = earley_step_budget
         self._earley = EarleyParser(grammar)
         self._analysis = GrammarAnalysis(grammar)
@@ -420,7 +419,7 @@ class CounterexampleValidator:
         if concrete is None:
             checks.skip(name, "form contains a nonproductive nonterminal")
             return
-        if len(concrete) > self.max_concrete_length:
+        if len(concrete) > MAX_CONCRETE_LENGTH:
             checks.skip(name, f"concretised string has {len(concrete)} tokens")
             return
         try:
@@ -449,7 +448,7 @@ class CounterexampleValidator:
             if concrete is None:
                 checks.skip(name, "form contains a nonproductive nonterminal")
                 continue
-            if len(concrete) > self.max_concrete_length:
+            if len(concrete) > MAX_CONCRETE_LENGTH:
                 checks.skip(name, f"concretised string has {len(concrete)} tokens")
                 continue
             try:

@@ -12,6 +12,7 @@ from repro.automaton.conflicts import ConflictKind
 from repro.core import CounterexampleFinder, safe_format_report
 from repro.core.report import report_to_json
 from repro.corpus import all_specs, load
+from repro.lint import LintContext
 from repro.verify.differential import DifferentialOracle
 
 NONLALR_FAMILY = ("nonlalr01", "nonlalr02", "nonlalr03-genuine")
@@ -94,7 +95,7 @@ class TestOracle:
     @pytest.mark.parametrize("name", NONLALR_FAMILY)
     def test_differential_oracle_consistent(self, name):
         grammar = load(name)
-        report = DifferentialOracle(grammar, seed=1).check()
+        report = DifferentialOracle(LintContext(grammar), seed=1).check()
         assert report.ok, report.describe()
 
 

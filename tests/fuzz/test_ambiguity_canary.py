@@ -8,9 +8,24 @@ outright crash) fails the fuzz battery rather than only the unit tests.
 
 import pytest
 
+import repro.analysis as analysis_module
+from repro.analysis import AmbiguityVerdict, ConflictAmbiguity
+from repro.automaton import build_lalr
 from repro.corpus import load
-from repro.verify import DifferentialOracle, run_fuzz_campaign
+from repro.grammar import GrammarAnalysis, load_grammar
+from repro.lint import LintContext
+from repro.verify import DifferentialOracle
 from repro.verify.harness import FailureKind, FuzzHarness
+
+
+def patch_walker(monkeypatch, rewrite):
+    """Replace the SR walk with ``rewrite(honest_verdicts)``."""
+    honest = analysis_module.analyze_conflicts
+
+    def walker(automaton, **kwargs):
+        return rewrite(dict(honest(automaton, **kwargs)))
+
+    monkeypatch.setattr(analysis_module, "analyze_conflicts", walker)
 
 
 class TestInjectedFixtures:
@@ -47,8 +62,8 @@ class TestInjectedFixtures:
 
 
 class TestCampaignCounters:
-    def test_report_accumulates_and_describes_verdicts(self):
-        report = run_fuzz_campaign(30, seed=0, shrink=False)
+    def test_report_accumulates_and_describes_verdicts(self, campaign_30):
+        report = campaign_30
         assert report.ok, report.describe()
         total = (
             report.ambiguity_unambiguous
@@ -64,8 +79,6 @@ class TestCampaignCounters:
 
 class TestBrokenWalkerFailsCampaign:
     def test_raising_walker_is_classified_as_crash(self, monkeypatch):
-        import repro.analysis as analysis_module
-
         def explode(*args, **kwargs):
             raise RuntimeError("walker exploded")
 
@@ -78,6 +91,69 @@ class TestBrokenWalkerFailsCampaign:
             for kind, detail in examination.problems
         )
 
+    def test_walker_dropping_a_conflict_is_classified_as_crash(
+        self, monkeypatch
+    ):
+        grammar = load("figure1")
+        first = build_lalr(grammar).tables.conflicts[0]
+
+        def drop_first(verdicts):
+            del verdicts[first]
+            return verdicts
+
+        patch_walker(monkeypatch, drop_first)
+        examination = FuzzHarness(shrink=False)._examine(grammar, seed=0)
+        crashes = [
+            detail
+            for kind, detail in examination.problems
+            if kind is FailureKind.CRASH
+        ]
+        assert crashes == [
+            f"ambiguity walk left conflicts without a verdict: [{first}]"
+        ]
+
+    def test_walker_inventing_a_conflict_is_classified_as_crash(
+        self, monkeypatch
+    ):
+        stranger = build_lalr(load("nonlalr03-genuine")).tables.conflicts[0]
+
+        def invent(verdicts):
+            verdicts[stranger] = ConflictAmbiguity(
+                AmbiguityVerdict.UNAMBIGUOUS, detail="invented"
+            )
+            return verdicts
+
+        patch_walker(monkeypatch, invent)
+        examination = FuzzHarness(shrink=False)._examine(load("figure1"), seed=0)
+        assert (
+            FailureKind.CRASH,
+            f"ambiguity walk gave verdicts for unknown conflicts: [{stranger}]",
+        ) in examination.problems
+
+    def test_invalid_witness_is_one_validator_rejection(self, monkeypatch):
+        grammar = load("figure1")
+        first = build_lalr(grammar).tables.conflicts[0]
+        # The shortest sentence of figure1 has a single derivation.
+        witness = tuple(GrammarAnalysis(grammar).shortest_expansion(grammar.start))
+
+        def lie_about_first(verdicts):
+            verdicts[first] = ConflictAmbiguity(
+                AmbiguityVerdict.AMBIGUOUS, witness=witness, detail="forced"
+            )
+            return verdicts
+
+        patch_walker(monkeypatch, lie_about_first)
+        examination = FuzzHarness(shrink=False)._examine(grammar, seed=0)
+        fatal = [
+            (kind, detail)
+            for kind, detail in examination.problems
+            if kind.fatal
+        ]
+        assert len(fatal) == 1, fatal
+        kind, detail = fatal[0]
+        assert kind is FailureKind.VALIDATOR_REJECTION
+        assert detail.startswith(f"ambiguity witness for [{first}] rejected")
+
 
 class TestWalkSearchCrossCheck:
     """A conflict the walk proves unambiguous cannot have a unifying
@@ -85,20 +161,15 @@ class TestWalkSearchCrossCheck:
 
     @pytest.fixture
     def lying_walker(self, monkeypatch):
-        import repro.analysis as analysis_module
-        from repro.analysis import AmbiguityVerdict, ConflictAmbiguity
-
-        def always_unambiguous(automaton, **kwargs):
+        def always_unambiguous(verdicts):
             return {
                 conflict: ConflictAmbiguity(
                     AmbiguityVerdict.UNAMBIGUOUS, detail="forced"
                 )
-                for conflict in automaton.tables.conflicts
+                for conflict in verdicts
             }
 
-        monkeypatch.setattr(
-            analysis_module, "analyze_conflicts", always_unambiguous
-        )
+        patch_walker(monkeypatch, always_unambiguous)
 
     def test_harness_flags_forced_unambiguous_on_figure1(self, lying_walker):
         harness = FuzzHarness(shrink=False)
@@ -110,15 +181,15 @@ class TestWalkSearchCrossCheck:
         ]
         assert contradictions
         assert FailureKind.WALK_CONTRADICTION.fatal
-        assert any(
-            kind is FailureKind.ORACLE_DISAGREEMENT
-            and "unambiguous-despite-unifying-counterexample" in detail
-            for kind, detail in examination.problems
-        )
 
-    def test_differential_oracle_flags_forced_unambiguous(self, lying_walker):
-        report = DifferentialOracle(load("figure1"), seed=0).check()
-        assert "unambiguous-despite-unifying-counterexample" in {
+    def test_oracle_samples_ambiguity_behind_forced_unambiguous(
+        self, lying_walker
+    ):
+        """With every conflict forced ``unambiguous``, the oracle's
+        sampling invariant catches an ambiguous sentence."""
+        grammar = load_grammar("e : e '+' e | 'a' ;")
+        report = DifferentialOracle(LintContext(grammar), seed=0).check()
+        assert "ambiguous-despite-unambiguous-verdicts" in {
             d.check for d in report.disagreements
         }
 

@@ -7,7 +7,6 @@ minimal-LR(1) splitter fails the fuzz battery, not just the unit tests.
 """
 
 from repro.corpus import load
-from repro.verify import run_fuzz_campaign
 from repro.verify.harness import FuzzHarness
 
 
@@ -30,8 +29,8 @@ class TestInjectedNonLalrGrammar:
 
 
 class TestCampaignCounters:
-    def test_report_accumulates_and_describes_provenance(self):
-        report = run_fuzz_campaign(30, seed=0, shrink=False)
+    def test_report_accumulates_and_describes_provenance(self, campaign_30):
+        report = campaign_30
         assert report.ok, report.describe()
         # Random conflicted grammars are overwhelmingly genuinely
         # ambiguous, so the genuine counter must move on a real campaign.

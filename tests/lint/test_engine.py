@@ -7,6 +7,7 @@ from repro.grammar import load_grammar
 from repro.lint import (
     Diagnostic,
     LintConfig,
+    LintContext,
     Severity,
     SourceSpan,
     all_rules,
@@ -125,7 +126,8 @@ class TestAutomatonReuse:
     def test_prebuilt_automaton_is_used(self):
         grammar = load_grammar(AMBIGUOUS)
         automaton = build_lalr(grammar)
-        report = run_lint(grammar, automaton=automaton)
+        context = LintContext(grammar, automaton=automaton)
+        report = run_lint(grammar, context=context)
         # Same conflict summary either way; mainly this must not rebuild
         # (and must not crash when handed a shared automaton).
         fresh = run_lint(grammar)
