@@ -18,7 +18,6 @@ from repro.analysis.walk import (
     AmbiguityVerdict,
     ConflictAmbiguity,
     analyze_conflicts,
-    annotate_ambiguity,
     walk_conflict,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "DEFAULT_MAX_STACK",
     "SRAutomaton",
     "analyze_conflicts",
-    "annotate_ambiguity",
     "walk_conflict",
 ]

@@ -496,21 +496,3 @@ def analyze_conflicts(
             metrics.count(f"analysis.verdict.{verdict.verdict.value}")
         return verdicts
 
-
-def annotate_ambiguity(
-    reports,
-    automaton: LALRAutomaton,
-    **options,
-) -> dict[Conflict, ConflictAmbiguity]:
-    """Attach ambiguity verdicts to finder reports, in place.
-
-    Mirrors :func:`repro.automaton.ielr.annotate_provenance`: each
-    report whose conflict received a verdict gets its ``ambiguity``
-    field set; the mapping is returned for aggregate counting.
-    """
-    mapping = analyze_conflicts(automaton, **options)
-    for report in reports:
-        ambiguity = mapping.get(report.conflict)
-        if ambiguity is not None:
-            report.ambiguity = ambiguity
-    return mapping

@@ -8,7 +8,6 @@ from repro.automaton.ielr import (
     IELRState,
     ProvenanceVerdict,
     StateSplit,
-    annotate_provenance,
     build_automaton,
     build_ielr,
     canonical_conflict_signatures,
@@ -62,7 +61,6 @@ __all__ = [
     "ReverseLookups",
     "Shift",
     "StateSplit",
-    "annotate_provenance",
     "automaton_from_dict",
     "automaton_to_dict",
     "build_automaton",

@@ -57,15 +57,9 @@ from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.items import Item
 from repro.automaton.lalr import LALRAutomaton, build_lalr
 from repro.automaton.lr0 import LR0Automaton, LR0State, closure
-from repro.automaton.lr1 import LR1Automaton, LR1State
+from repro.automaton.lr1 import LR1Automaton
 from repro.grammar import END_OF_INPUT, Grammar, Symbol, Terminal, normalize_algorithm
 from repro.perf import metrics
-
-#: Default canonical-LR(1) state bound for provenance classification;
-#: deliberately tighter than :class:`LR1Automaton`'s construction default
-#: because classification is a best-effort annotation, not a build step.
-PROVENANCE_LR1_BOUND = 20_000
-
 
 class IELRState(LR0State):
     """An LR(0)-shaped state of the minimal-LR(1) automaton.
@@ -553,26 +547,26 @@ class ConflictProvenance:
 
 def classify_conflicts(
     automaton: LALRAutomaton,
-    max_lr1_states: int = PROVENANCE_LR1_BOUND,
-    minimal: IELRAutomaton | None = None,
+    minimal: IELRAutomaton | None,
+    max_lr1_states: int,
 ) -> dict[Conflict, ConflictProvenance]:
     """Label each of *automaton*'s conflicts genuine or merge artifact.
 
-    For an LALR automaton, the minimal-LR(1) construction is built (or
-    taken from *minimal*) and each conflict's signature is looked up in
-    it: present means the conflict survives canonical LR(1); absent
-    means core merging manufactured it, and the verdict names the states
-    the minimal construction split. Automata already built with a
-    conflict-exact construction (``ielr``/``lr1``) classify every
-    conflict as genuine outright. When the canonical collection exceeds
-    *max_lr1_states*, every conflict gets an UNKNOWN verdict instead of
-    an error.
+    For an LALR automaton, each conflict's signature is looked up in
+    *minimal*, the grammar's minimal-LR(1) automaton: present means the
+    conflict survives canonical LR(1); absent means core merging
+    manufactured it, and the verdict names the states the minimal
+    construction split. Automata already built with a conflict-exact
+    construction (``ielr``/``lr1``) classify every conflict as genuine
+    outright. ``minimal=None`` for an LALR automaton means the canonical
+    collection exceeded *max_lr1_states*: every conflict gets an UNKNOWN
+    verdict instead of an error. This function builds nothing;
+    :attr:`repro.lint.context.LintContext.provenance` supplies *minimal*.
     """
     conflicts = automaton.tables.conflicts
     if not conflicts:
         return {}
-    algorithm = getattr(automaton, "algorithm", "lalr")
-    if algorithm != "lalr":
+    if automaton.algorithm != "lalr":
         detail = "construction has exact LR(1) conflict behavior"
         return {
             conflict: ConflictProvenance(
@@ -583,23 +577,18 @@ def classify_conflicts(
             for conflict in conflicts
         }
     if minimal is None:
-        try:
-            minimal = build_ielr(
-                automaton.grammar, algorithm="ielr", max_lr1_states=max_lr1_states
+        detail = (
+            f"canonical LR(1) collection exceeds {max_lr1_states} states; "
+            "provenance not computed"
+        )
+        return {
+            conflict: ConflictProvenance(
+                verdict=ProvenanceVerdict.UNKNOWN,
+                lalr_state=conflict.state_id,
+                detail=detail,
             )
-        except RuntimeError:
-            detail = (
-                f"canonical LR(1) collection exceeds {max_lr1_states} states; "
-                "provenance not computed"
-            )
-            return {
-                conflict: ConflictProvenance(
-                    verdict=ProvenanceVerdict.UNKNOWN,
-                    lalr_state=conflict.state_id,
-                    detail=detail,
-                )
-                for conflict in conflicts
-            }
+            for conflict in conflicts
+        }
     genuine = conflict_signatures(minimal)
     result: dict[Conflict, ConflictProvenance] = {}
     for conflict in conflicts:
@@ -628,23 +617,3 @@ def classify_conflicts(
             detail=detail,
         )
     return result
-
-
-def annotate_provenance(
-    reports,
-    automaton: LALRAutomaton,
-    max_lr1_states: int = PROVENANCE_LR1_BOUND,
-) -> dict[Conflict, ConflictProvenance]:
-    """Attach provenance verdicts to finder reports, in place.
-
-    *reports* is an iterable of :class:`~repro.core.finder.FinderReport`;
-    each report whose conflict was classified gets its ``provenance``
-    field set. Returns the classification mapping for callers that want
-    aggregate counts.
-    """
-    mapping = classify_conflicts(automaton, max_lr1_states=max_lr1_states)
-    for report in reports:
-        provenance = mapping.get(report.conflict)
-        if provenance is not None:
-            report.provenance = provenance
-    return mapping

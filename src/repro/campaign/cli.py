@@ -184,11 +184,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_warm(args: argparse.Namespace) -> int:
     from repro.corpus import registry
-    from repro.perf.cache import (
-        AutomatonCache,
-        analyze_conflicts_cached,
-        build_automaton_cached,
-    )
+    from repro.lint import LintContext
+    from repro.perf.cache import AutomatonCache, build_automaton_cached
 
     spec = _spec_from_args(args)
     names = list(dict.fromkeys([*spec.corpus, *spec.bench]))
@@ -196,8 +193,10 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         names = [grammar_spec.name for grammar_spec in registry.all_specs()]
     cache = AutomatonCache(args.cache_dir)
     for name in names:
-        automaton = build_automaton_cached(registry.load(name), cache)
-        analyze_conflicts_cached(automaton, cache)
+        grammar = registry.load(name)
+        automaton = build_automaton_cached(grammar, cache)
+        # Reading the verdicts stores them in the cache entry.
+        LintContext(grammar, automaton=automaton, cache=cache).ambiguity_verdicts
     print(
         f"warmed {args.cache_dir}: {len(names)} grammars, "
         f"{cache.hits} hits / {cache.misses} misses"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Mapping
 
-from repro.campaign.units import SCHEMA, CampaignSpec, plan_units
+from repro.campaign.units import KINDS, SCHEMA, CampaignSpec, plan_units
 
 
 class MergeError(ValueError):
@@ -125,7 +125,7 @@ def merge_shard_documents(
 
 
 def _telemetry_totals(documents: list[Mapping[str, Any]]) -> dict[str, Any]:
-    totals = {
+    totals: dict[str, Any] = {
         key: 0
         for key in (
             "executed",
@@ -137,10 +137,21 @@ def _telemetry_totals(documents: list[Mapping[str, Any]]) -> dict[str, Any]:
             "torn_writes",
         )
     }
+    # Wall time per unit kind: what the fuzz, corpus and bench halves of
+    # the campaign cost, summed over every executed unit.
+    unit_seconds = dict.fromkeys(KINDS, 0.0)
     for doc in documents:
         telemetry = doc.get("telemetry", {})
         for key in totals:
             totals[key] += int(telemetry.get(key, 0))
+        for unit_id, unit in telemetry.get("units", {}).items():
+            kind = unit_id.partition(":")[0]
+            unit_seconds[kind] = unit_seconds.get(kind, 0.0) + float(
+                unit.get("elapsed_s", 0.0)
+            )
+    totals["unit_seconds"] = {
+        kind: round(seconds, 3) for kind, seconds in unit_seconds.items()
+    }
     return totals
 
 
@@ -297,6 +308,7 @@ def render_summary_markdown(
             f"| {shard.get('cache_misses', 0)} |"
         )
     aggregates = report["aggregates"]
+    unit_seconds = telemetry.get("totals", {}).get("unit_seconds", {})
     lines += [
         "",
         f"- fuzz: {aggregates['fuzz'].get('conflicts', 0)} conflicts, "
@@ -307,6 +319,8 @@ def render_summary_markdown(
         f"provenance {aggregates['corpus']['provenance']}",
         f"- bench: {aggregates['bench']['grammars']} grammars, "
         f"{aggregates['bench']['conflicts']} conflicts",
+        "- unit seconds: "
+        + ", ".join(f"{kind} {seconds}" for kind, seconds in unit_seconds.items()),
         "",
     ]
     return "\n".join(lines)

@@ -104,26 +104,27 @@ def _run_fuzz_unit(
 def _run_corpus_unit(
     unit: WorkUnit, spec: CampaignSpec, cache
 ) -> tuple[dict[str, Any], dict[str, Any]]:
-    from repro.automaton.ielr import ProvenanceVerdict, classify_conflicts
+    from repro.automaton.ielr import ProvenanceVerdict
     from repro.corpus import registry
     from repro.lint import LintContext, run_lint
-    from repro.perf.cache import analyze_conflicts_cached, build_automaton_cached
+    from repro.perf.cache import build_automaton_cached
 
     grammar = registry.load(unit.key)
     automaton = build_automaton_cached(grammar, cache)
+    # One artifact set for lint, the walk verdicts and provenance.
     context = LintContext(
         grammar,
-        automaton=automaton if automaton.algorithm == "lalr" else None,
+        automaton=automaton,
         max_lr1_states=spec.max_lr1_states,
+        cache=cache,
     )
     lint_report = run_lint(grammar, context=context)
     lint_counts = {"info": 0, "warning": 0, "error": 0}
     for diagnostic in lint_report.diagnostics:
         lint_counts[diagnostic.severity.value] += 1
 
-    verdicts = analyze_conflicts_cached(automaton, cache)
     ambiguity = {"unambiguous": 0, "ambiguous": 0, "inconclusive": 0}
-    for verdict in verdicts.values():
+    for verdict in context.ambiguity_verdicts.values():
         ambiguity[verdict.verdict.value] += 1
 
     slugs = {
@@ -132,11 +133,8 @@ def _run_corpus_unit(
         ProvenanceVerdict.UNKNOWN: "unknown",
     }
     provenance = {"genuine": 0, "merge_artifact": 0, "unknown": 0}
-    if automaton.tables.conflicts:
-        for entry in classify_conflicts(
-            automaton, max_lr1_states=spec.max_lr1_states
-        ).values():
-            provenance[slugs[entry.verdict]] += 1
+    for entry in context.provenance.values():
+        provenance[slugs[entry.verdict]] += 1
 
     payload = {
         "grammar": unit.key,

@@ -292,15 +292,20 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _run_lint(args: argparse.Namespace, grammar, source_path: str | None) -> int:
-    from repro.lint import LintConfig, Severity, render, run_lint
+def _run_lint(
+    args: argparse.Namespace, grammar, source_path: str | None, cache
+) -> int:
+    from repro.lint import LintConfig, LintContext, Severity, render, run_lint
 
     config = LintConfig(
         enabled=frozenset(args.rule) if args.rule else None,
         disabled=frozenset(args.no_rule or ()),
     )
+    context = LintContext(grammar, source_path=source_path, cache=cache)
     try:
-        report = run_lint(grammar, config=config, source_path=source_path)
+        report = run_lint(
+            grammar, config=config, source_path=source_path, context=context
+        )
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -421,8 +426,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: provide a grammar file or --corpus NAME", file=sys.stderr)
         return 2
 
+    cache = None
+    if args.cache_dir is not None:
+        from repro.perf.cache import AutomatonCache
+
+        cache = AutomatonCache(args.cache_dir or None)
+
     if args.lint:
-        return _run_lint(args, grammar, args.grammar if not args.corpus else None)
+        source_path = args.grammar if not args.corpus else None
+        return _run_lint(args, grammar, source_path, cache)
 
     if args.metrics:
         from repro.grammar import GrammarMetrics
@@ -438,11 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except GrammarError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    cache = None
-    if args.cache_dir is not None:
-        from repro.perf.cache import AutomatonCache, build_automaton_cached
+    if cache is not None:
+        from repro.perf.cache import build_automaton_cached
 
-        cache = AutomatonCache(args.cache_dir or None)
         automaton = build_automaton_cached(grammar, cache, algorithm)
     else:
         automaton = build_automaton(grammar, algorithm)
@@ -488,19 +498,15 @@ def main(argv: list[str] | None = None) -> int:
         _restore_cancel_handlers(handlers)
     elapsed = time.monotonic() - started
 
-    if args.provenance:
-        from repro.automaton import annotate_provenance
+    if args.provenance or args.ambiguity:
+        from repro.lint import LintContext
 
-        annotate_provenance(summary.reports, automaton)
-
-    if args.ambiguity:
-        from repro.perf.cache import analyze_conflicts_cached
-
-        mapping = analyze_conflicts_cached(automaton, cache)
+        context = LintContext(grammar, automaton=automaton, cache=cache)
         for report in summary.reports:
-            ambiguity = mapping.get(report.conflict)
-            if ambiguity is not None:
-                report.ambiguity = ambiguity
+            if args.provenance:
+                report.provenance = context.provenance.get(report.conflict)
+            if args.ambiguity:
+                report.ambiguity = context.ambiguity_verdicts.get(report.conflict)
 
     if not args.quiet:
         for report in summary.reports:

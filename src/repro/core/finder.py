@@ -86,13 +86,13 @@ class FinderReport:
     #: Whether a budget-escalating retry upgraded this report.
     retried: bool = False
     #: Provenance verdict (genuine LR(1) conflict vs LALR merge
-    #: artifact), attached after the fact by
-    #: :func:`repro.automaton.ielr.annotate_provenance`; ``None`` unless
+    #: artifact), attached after the fact from
+    #: :attr:`repro.lint.context.LintContext.provenance`; ``None`` unless
     #: provenance analysis ran.
     provenance: ConflictProvenance | None = None
     #: Static ambiguity verdict from the SR pair walk, attached after
-    #: the fact by :func:`repro.analysis.annotate_ambiguity`; ``None``
-    #: unless ambiguity analysis ran.
+    #: the fact from :attr:`repro.lint.context.LintContext.ambiguity_verdicts`;
+    #: ``None`` unless ambiguity analysis ran.
     ambiguity: ConflictAmbiguity | None = None
 
     @property

@@ -18,19 +18,16 @@ from repro.lint.registry import LintPass, all_rules, get_rule
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Which rules run and how the derived artifacts are bounded.
+    """Which rules run.
 
     Attributes:
         enabled: Explicit allow-list of rule ids (``None`` means all
             registered rules).
         disabled: Rule ids to skip (applied after *enabled*).
-        max_lr1_states: Cap on the canonical LR(1) construction used by
-            the ``lr-class`` rule.
     """
 
     enabled: frozenset[str] | None = None
     disabled: frozenset[str] = frozenset()
-    max_lr1_states: int = 20_000
 
     def selected_rules(self) -> list[LintPass]:
         """Resolve the configuration to concrete passes, in catalog order.
@@ -89,15 +86,26 @@ def run_lint(
     """Run the selected lint passes over *grammar*.
 
     *context* lets callers that already hold the grammar's artifacts (the
-    fuzz harness, the campaign runner) share them instead of paying for a
-    second construction; its own LR(1) cap then applies. Pass crashes
-    propagate to the caller.
+    CLI, the service worker, the campaign runner, the fuzz harness) share
+    them instead of paying for a second construction; its own LR(1) cap
+    and cache then apply. Lint always judges the LALR automaton: a
+    context holding another construction is swapped for a fresh LALR
+    context with the same grammar, cap and cache. Pass crashes propagate
+    to the caller.
     """
     config = config if config is not None else LintConfig()
     rules = config.selected_rules()
-    ctx = context if context is not None else LintContext(
-        grammar, source_path=source_path, max_lr1_states=config.max_lr1_states
-    )
+    if context is None:
+        ctx = LintContext(grammar, source_path=source_path)
+    elif context.automaton.algorithm == "lalr":
+        ctx = context
+    else:
+        ctx = LintContext(
+            grammar,
+            source_path=context.source_path,
+            max_lr1_states=context.max_lr1_states,
+            cache=context.cache,
+        )
     diagnostics: list[Diagnostic] = []
     for rule in rules:
         diagnostics.extend(rule.run(ctx))

@@ -43,12 +43,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.analysis import (
-    ANALYSIS_VERSION,
-    AmbiguityVerdict,
-    ConflictAmbiguity,
-    analyze_conflicts,
-)
+from repro.analysis import ANALYSIS_VERSION, AmbiguityVerdict, ConflictAmbiguity
 from repro.automaton.conflicts import Conflict
 from repro.automaton.lalr import LALRAutomaton
 from repro.automaton.serialize import (
@@ -415,29 +410,4 @@ def build_automaton_cached(
     automaton = build_automaton(grammar, algorithm)
     cache.put(grammar, automaton)
     return automaton
-
-
-def analyze_conflicts_cached(
-    automaton: LALRAutomaton,
-    cache: AutomatonCache | None,
-    **options,
-) -> dict[Conflict, ConflictAmbiguity]:
-    """:func:`repro.analysis.analyze_conflicts` through an optional cache.
-
-    With ``cache=None`` — or with any non-default walk *options*, which
-    would make memoized verdicts incomparable — this is exactly
-    ``analyze_conflicts``. Otherwise verdicts are read from (and written
-    back to) the ``"ambiguity"`` block of the grammar's cache entry.
-    """
-    if cache is None or options:
-        return analyze_conflicts(automaton, **options)
-    cached = cache.get_verdicts(automaton.grammar, automaton)
-    if cached is not None:
-        return cached
-    verdicts = analyze_conflicts(automaton)
-    try:
-        cache.put_verdicts(automaton.grammar, automaton, verdicts)
-    except OSError:
-        pass  # a read-only cache directory must not fail the analysis
-    return verdicts
 

@@ -54,11 +54,7 @@ def run_analysis(payload: Mapping[str, Any]) -> dict[str, Any]:
     """
     from repro.core import CounterexampleFinder, safe_format_report, summary_to_json
     from repro.grammar import GrammarError, load_grammar, normalize_algorithm
-    from repro.perf.cache import (
-        AutomatonCache,
-        analyze_conflicts_cached,
-        build_automaton_cached,
-    )
+    from repro.perf.cache import AutomatonCache, build_automaton_cached
 
     options = payload.get("options", {})
     sleep_s = float(options.get("chaos_sleep_s", 0.0) or 0.0)
@@ -75,13 +71,20 @@ def run_analysis(payload: Mapping[str, Any]) -> dict[str, Any]:
             cache_dir = payload.get("cache_dir")
             cache = AutomatonCache(cache_dir) if cache_dir else None
             automaton = build_automaton_cached(grammar, cache, algorithm)
+            # Lint and the ambiguity block read one artifact set, so the
+            # walk runs at most once (and not at all on a warm cache).
+            context = None
+            if options.get("lint") or options.get("ambiguity"):
+                from repro.lint import LintContext
+
+                context = LintContext(grammar, automaton=automaton, cache=cache)
             lint_findings: list[dict[str, Any]] | None = None
             if options.get("lint"):
                 from repro.lint import run_lint
 
                 lint_findings = [
                     diagnostic.as_dict()
-                    for diagnostic in run_lint(grammar).diagnostics
+                    for diagnostic in run_lint(grammar, context=context).diagnostics
                 ]
             finder = CounterexampleFinder(
                 automaton,
@@ -92,8 +95,7 @@ def run_analysis(payload: Mapping[str, Any]) -> dict[str, Any]:
             )
             summary = finder.explain_all()
             ambiguity: list[dict[str, Any]] | None = None
-            if options.get("ambiguity") and automaton.conflicts:
-                verdicts = analyze_conflicts_cached(automaton, cache)
+            if options.get("ambiguity") and context and automaton.conflicts:
                 ambiguity = [
                     {
                         "state": conflict.state_id,
@@ -105,7 +107,7 @@ def run_analysis(payload: Mapping[str, Any]) -> dict[str, Any]:
                             else None
                         ),
                     }
-                    for conflict, verdict in verdicts.items()
+                    for conflict, verdict in context.ambiguity_verdicts.items()
                 ]
             reports = [safe_format_report(report) for report in summary.reports]
         result: dict[str, Any] = {

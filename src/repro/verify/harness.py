@@ -265,8 +265,9 @@ class FuzzHarness:
             verification pass and the validator's ambiguity recount.
         automaton_cache: Optional
             :class:`~repro.perf.cache.AutomatonCache`; when given,
-            automaton construction goes through the content-addressed
-            cache (repeat grammars decode instead of rebuilding).
+            automaton construction and the walk verdicts go through the
+            content-addressed cache (repeat grammars decode instead of
+            rebuilding and walking).
     """
 
     def __init__(
@@ -400,7 +401,10 @@ class FuzzHarness:
         # One artifact set per examination: lint, the oracle and the
         # checks below all read the same LR(1) automata and walk verdicts.
         context = LintContext(
-            grammar, automaton=automaton, max_lr1_states=self.max_lr1_states
+            grammar,
+            automaton=automaton,
+            max_lr1_states=self.max_lr1_states,
+            cache=self.automaton_cache,
         )
 
         try:

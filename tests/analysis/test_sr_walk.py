@@ -15,12 +15,13 @@ from repro.analysis import (
     ConflictAmbiguity,
     SRAutomaton,
     analyze_conflicts,
-    annotate_ambiguity,
     walk_conflict,
 )
 from repro.automaton import build_lalr
+from repro.cli import main
 from repro.core import CounterexampleFinder
 from repro.corpus import all_specs, load
+from repro.lint import LintContext
 from repro.robust.budget import Budget
 from repro.verify import validate_ambiguity_witness
 
@@ -157,14 +158,16 @@ class TestDescribe:
 
 
 class TestAnnotate:
-    def test_annotate_sets_report_fields(self):
-        automaton = build_lalr(load("nonlalr03-genuine"))
-        summary = CounterexampleFinder(automaton).explain_all()
-        mapping = annotate_ambiguity(summary.reports, automaton)
+    def test_annotate_sets_report_fields(self, capsys):
+        # ``--ambiguity`` attaches the context's verdict to every report.
+        grammar = load("nonlalr03-genuine")
+        mapping = LintContext(grammar).ambiguity_verdicts
         assert mapping
-        for report in summary.reports:
-            assert report.ambiguity is not None
-            assert report.ambiguity is mapping[report.conflict]
+        main(["--corpus", "nonlalr03-genuine", "--ambiguity"])
+        output = capsys.readouterr().out
+        assert output.count("Ambiguity : ") == len(mapping)
+        for verdict in mapping.values():
+            assert f"Ambiguity : {verdict.describe()}" in output
 
     def test_reports_default_to_no_verdict(self):
         automaton = build_lalr(load("nonlalr03-genuine"))

@@ -17,6 +17,7 @@ from repro.automaton.lr0 import LR0Automaton
 from repro.core import CounterexampleFinder
 from repro.corpus import load as load_corpus
 from repro.grammar import load_grammar
+from repro.lint import LintContext
 
 
 @pytest.fixture
@@ -142,7 +143,7 @@ class TestProvenance:
         lalr = build_lalr(nonlalr01)
         ielr = build_ielr(nonlalr01)
         (split,) = ielr.splits
-        provenance = classify_conflicts(lalr)
+        provenance = LintContext(nonlalr01, automaton=lalr).provenance
         assert len(provenance) == 2
         for verdict in provenance.values():
             assert verdict.verdict is ProvenanceVerdict.MERGE_ARTIFACT
@@ -150,19 +151,19 @@ class TestProvenance:
             assert "splits into minimal-LR(1) states" in verdict.describe()
 
     def test_genuine_conflict(self, genuine_sibling):
-        provenance = classify_conflicts(build_lalr(genuine_sibling))
+        provenance = LintContext(genuine_sibling).provenance
         (verdict,) = provenance.values()
         assert verdict.verdict is ProvenanceVerdict.GENUINE
         assert "survives canonical LR(1)" in verdict.detail
 
     def test_unknown_when_bound_exceeded(self, genuine_sibling):
-        provenance = classify_conflicts(build_lalr(genuine_sibling), max_lr1_states=2)
+        provenance = LintContext(genuine_sibling, max_lr1_states=2).provenance
         (verdict,) = provenance.values()
         assert verdict.verdict is ProvenanceVerdict.UNKNOWN
 
     def test_exact_construction_classifies_genuine_outright(self, genuine_sibling):
         ielr = build_ielr(genuine_sibling)
-        provenance = classify_conflicts(ielr)
+        provenance = LintContext(genuine_sibling, automaton=ielr).provenance
         assert all(
             v.verdict is ProvenanceVerdict.GENUINE for v in provenance.values()
         )
@@ -170,7 +171,7 @@ class TestProvenance:
     def test_prebuilt_minimal_reused(self, nonlalr01):
         lalr = build_lalr(nonlalr01)
         minimal = build_ielr(nonlalr01)
-        provenance = classify_conflicts(lalr, minimal=minimal)
+        provenance = classify_conflicts(lalr, minimal, max_lr1_states=20_000)
         assert all(
             v.verdict is ProvenanceVerdict.MERGE_ARTIFACT
             for v in provenance.values()

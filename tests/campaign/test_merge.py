@@ -153,3 +153,21 @@ class TestRendering:
         assert "| shard |" in summary
         assert "| 1-2 |" in summary and "| 2-2 |" in summary
         assert "2 shard(s)" in summary
+
+    def test_unit_seconds_summed_per_kind(self):
+        docs = _documents()
+        for doc in docs:
+            doc["telemetry"]["units"] = {
+                unit_id: {"elapsed_s": 1.25} for unit_id in doc["units"]
+            }
+        report, telemetry = merge_shard_documents(docs)
+        assert telemetry["totals"]["unit_seconds"] == {
+            "fuzz": 5.0,
+            "corpus": 0.0,
+            "bench": 0.0,
+        }
+        summary = render_summary_markdown(report, telemetry)
+        assert "- unit seconds: fuzz 5.0, corpus 0.0, bench 0.0" in summary
+        # Telemetry only: the deterministic report does not move.
+        plain = merge_shard_documents(_documents())[0]
+        assert render_report(report) == render_report(plain)

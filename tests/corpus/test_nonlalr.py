@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.automaton import (
-    ProvenanceVerdict,
-    annotate_provenance,
-    build_ielr,
-    build_lalr,
-)
+from repro.automaton import ProvenanceVerdict, build_ielr, build_lalr
 from repro.automaton.conflicts import ConflictKind
 from repro.core import CounterexampleFinder, safe_format_report
 from repro.core.report import report_to_json
@@ -16,6 +11,17 @@ from repro.lint import LintContext
 from repro.verify.differential import DifferentialOracle
 
 NONLALR_FAMILY = ("nonlalr01", "nonlalr02", "nonlalr03-genuine")
+
+
+def explain_with_provenance(grammar):
+    """Explain *grammar*'s LALR conflicts and attach each report's
+    provenance from one shared context, as ``--provenance`` does."""
+    automaton = build_lalr(grammar)
+    summary = CounterexampleFinder(automaton, time_limit=2.0).explain_all()
+    mapping = LintContext(grammar, automaton=automaton).provenance
+    for report in summary.reports:
+        report.provenance = mapping.get(report.conflict)
+    return summary, mapping
 
 
 class TestRegistry:
@@ -46,9 +52,7 @@ class TestMergeArtifacts:
     @pytest.mark.parametrize("name", ("nonlalr01", "nonlalr02"))
     def test_report_labels_merge_artifact(self, name):
         grammar = load(name)
-        automaton = build_lalr(grammar)
-        summary = CounterexampleFinder(automaton, time_limit=2.0).explain_all()
-        mapping = annotate_provenance(summary.reports, automaton)
+        summary, mapping = explain_with_provenance(grammar)
         assert mapping
         split_ids = {
             sid
@@ -64,10 +68,7 @@ class TestMergeArtifacts:
             assert set(report.provenance.split_states) <= split_ids
 
     def test_robust_report_json_carries_provenance(self):
-        grammar = load("nonlalr01")
-        automaton = build_lalr(grammar)
-        summary = CounterexampleFinder(automaton, time_limit=2.0).explain_all()
-        annotate_provenance(summary.reports, automaton)
+        summary, _ = explain_with_provenance(load("nonlalr01"))
         entry = report_to_json(summary.reports[0])
         assert entry["provenance"]["verdict"] == "LALR merge artifact"
         assert len(entry["provenance"]["split_states"]) >= 2
@@ -81,10 +82,7 @@ class TestGenuineSibling:
         assert build_ielr(grammar, algorithm="lr1").conflicts
 
     def test_report_labels_genuine(self):
-        grammar = load("nonlalr03-genuine")
-        automaton = build_lalr(grammar)
-        summary = CounterexampleFinder(automaton, time_limit=2.0).explain_all()
-        mapping = annotate_provenance(summary.reports, automaton)
+        summary, mapping = explain_with_provenance(load("nonlalr03-genuine"))
         (provenance,) = mapping.values()
         assert provenance.verdict is ProvenanceVerdict.GENUINE
         text = safe_format_report(summary.reports[0])

@@ -8,7 +8,7 @@ routine message tweaks do not churn hundreds of golden lines.
 import pytest
 
 from repro.corpus import all_specs, load
-from repro.lint import LintConfig, render_text, run_lint
+from repro.lint import LintConfig, LintContext, render_text, run_lint
 
 GOLDEN_FIGURE7 = """\
 <figure7>:4: warning[dangling-else]: dangling-c pattern: 'S ::= N' is a proper prefix of 'S ::= N c' and c can follow N
@@ -134,8 +134,9 @@ class TestEveryDiagnosticHasALine:
 
     @pytest.mark.slow
     def test_whole_registry(self):
-        capped = LintConfig(max_lr1_states=2_000)
         for spec in all_specs():
-            report = run_lint(spec.load(), config=capped)
+            grammar = spec.load()
+            context = LintContext(grammar, max_lr1_states=2_000)
+            report = run_lint(grammar, context=context)
             for diagnostic in report.diagnostics:
                 assert diagnostic.span.line is not None, (spec.name, diagnostic)

@@ -1,20 +1,28 @@
-"""Ambiguity-verdict memoization in the content-addressed cache."""
+"""Ambiguity-verdict memoization in the content-addressed cache.
+
+:attr:`repro.lint.context.LintContext.ambiguity_verdicts` reads and
+writes the verdict block when the context holds a cache.
+"""
 
 import json
 
 import pytest
 
+import repro.analysis as analysis_module
 import repro.perf.cache as cache_module
 from repro.analysis import ANALYSIS_VERSION, AmbiguityVerdict, analyze_conflicts
 from repro.automaton import build_lalr
 from repro.automaton.serialize import load_automaton
 from repro.corpus import load
+from repro.lint import LintContext
 from repro.perf import metrics
-from repro.perf.cache import (
-    AutomatonCache,
-    analyze_conflicts_cached,
-    grammar_fingerprint,
-)
+from repro.perf.cache import AutomatonCache, grammar_fingerprint
+
+
+def cached_verdicts(automaton, cache):
+    """The walk verdicts of a fresh context on *automaton* and *cache*."""
+    context = LintContext(automaton.grammar, automaton=automaton, cache=cache)
+    return context.ambiguity_verdicts
 
 
 @pytest.fixture
@@ -36,34 +44,33 @@ class TestVerdictRoundTrip:
 
     def test_memoized_hit_skips_the_walk(self, cache, genuine, monkeypatch):
         automaton = build_lalr(genuine)
-        first = analyze_conflicts_cached(automaton, cache)
+        first = cached_verdicts(automaton, cache)
 
         def explode(*args, **kwargs):
             raise AssertionError("walked despite a cached verdict block")
 
-        monkeypatch.setattr(cache_module, "analyze_conflicts", explode)
-        second = analyze_conflicts_cached(automaton, cache)
+        monkeypatch.setattr(analysis_module, "analyze_conflicts", explode)
+        second = cached_verdicts(automaton, cache)
         assert second == first
 
     def test_none_cache_is_a_passthrough(self, genuine):
         automaton = build_lalr(genuine)
-        verdicts = analyze_conflicts_cached(automaton, None)
+        verdicts = cached_verdicts(automaton, None)
         assert verdicts == analyze_conflicts(automaton)
 
-    def test_non_default_options_bypass_the_cache(self, cache, genuine):
-        # max_nodes=1 verdicts must not be served from (or poison) the
-        # default-budget entry.
+    def test_unwritable_cache_does_not_fail_the_walk(
+        self, cache, genuine, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only cache directory")
+
+        monkeypatch.setattr(cache, "put_verdicts", refuse)
         automaton = build_lalr(genuine)
-        analyze_conflicts_cached(automaton, cache)
-        starved = analyze_conflicts_cached(automaton, cache, max_nodes=1)
-        assert starved == analyze_conflicts(automaton, max_nodes=1)
-        assert cache.get_verdicts(genuine, automaton) == analyze_conflicts(
-            automaton
-        )
+        assert cached_verdicts(automaton, cache) == analyze_conflicts(automaton)
 
     def test_ambiguous_witness_survives_the_round_trip(self, cache, genuine):
         automaton = build_lalr(genuine)
-        analyze_conflicts_cached(automaton, cache)
+        cached_verdicts(automaton, cache)
         restored = cache.get_verdicts(genuine, automaton)
         (verdict,) = restored.values()
         assert verdict.verdict is AmbiguityVerdict.AMBIGUOUS
@@ -72,9 +79,9 @@ class TestVerdictRoundTrip:
 
     def test_hit_counter_moves(self, cache, genuine):
         automaton = build_lalr(genuine)
-        analyze_conflicts_cached(automaton, cache)
+        cached_verdicts(automaton, cache)
         with metrics.collecting() as collector:
-            analyze_conflicts_cached(automaton, cache)
+            cached_verdicts(automaton, cache)
         assert collector.counters.get("cache.verdicts.hit") == 1
 
 
@@ -83,7 +90,7 @@ class TestFormatCompatibility:
         # A verdict-bearing entry must stay loadable by the plain
         # serialization reader — the block is an ignored extra key.
         automaton = build_lalr(genuine)
-        analyze_conflicts_cached(automaton, cache)
+        cached_verdicts(automaton, cache)
         path = cache._path_for(grammar_fingerprint(genuine))
         restored = load_automaton(path.read_text())
         assert [str(c) for c in restored.conflicts] == [
@@ -97,7 +104,7 @@ class TestFormatCompatibility:
 
     def test_wrong_analysis_version_is_a_miss(self, cache, genuine):
         automaton = build_lalr(genuine)
-        analyze_conflicts_cached(automaton, cache)
+        cached_verdicts(automaton, cache)
         path = cache._path_for(grammar_fingerprint(genuine))
         document = json.loads(path.read_text())
         document["ambiguity"]["analysis_version"] = ANALYSIS_VERSION + 1
@@ -106,7 +113,7 @@ class TestFormatCompatibility:
 
     def test_conflict_mismatch_is_a_miss(self, cache, genuine):
         automaton = build_lalr(genuine)
-        analyze_conflicts_cached(automaton, cache)
+        cached_verdicts(automaton, cache)
         path = cache._path_for(grammar_fingerprint(genuine))
         document = json.loads(path.read_text())
         document["ambiguity"]["verdicts"][0]["state"] += 1
