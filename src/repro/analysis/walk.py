@@ -473,7 +473,7 @@ def analyze_conflicts(
     CLI's ``--time-limit``) makes later conflicts cheaply inconclusive
     once it is spent, which is the degradation the stress job asserts.
     """
-    conflicts = automaton.tables.conflicts
+    conflicts = automaton.conflicts
     if not conflicts:
         return {}
     sr = SRAutomaton(automaton)

@@ -88,29 +88,31 @@ def restore_rows(compacted: dict[str, Any], stride: int) -> list[list[int]]:
     """Inverse of :func:`compact_rows`.
 
     Returns one flat row per state with the original ``key -> payload``
-    entries, keys ascending.
+    entries, keys ascending. ``cols`` is inverted into class -> keys
+    once and each pooled row expanded once, so the work is proportional
+    to the entries restored, not to states × columns. States sharing a
+    pooled row share one list object.
     """
     payload = stride - 1
     cols: list[int] = compacted["cols"]
-    pool: list[list[int]] = compacted["rows"]
-    expanded: list[dict[int, list[int]]] = []
-    for flat in pool:
-        by_class: dict[int, list[int]] = {}
-        for i in range(0, len(flat), stride):
-            by_class[flat[i]] = flat[i + 1 : i + 1 + payload]
-        expanded.append(by_class)
+    keys_of_class: dict[int, list[int]] = {}
+    for key, class_id in enumerate(cols):
+        keys_of_class.setdefault(class_id, []).append(key)
 
-    rows: list[list[int]] = []
-    for row_id in compacted["map"]:
-        by_class = expanded[row_id]
-        flat = []
-        for key, class_id in enumerate(cols):
-            entry = by_class.get(class_id)
-            if entry is not None:
-                flat.append(key)
-                flat.extend(entry)
-        rows.append(flat)
-    return rows
+    expanded: list[list[int]] = []
+    for pooled in compacted["rows"]:
+        entries: list[tuple[int, list[int]]] = []
+        for i in range(0, len(pooled), stride):
+            entry = pooled[i + 1 : i + 1 + payload]
+            for key in keys_of_class[pooled[i]]:
+                entries.append((key, entry))
+        entries.sort()  # keys are unique within a row
+        flat: list[int] = []
+        for key, entry in entries:
+            flat.append(key)
+            flat.extend(entry)
+        expanded.append(flat)
+    return [expanded[row_id] for row_id in compacted["map"]]
 
 
 def intern_rows(rows: list[list[int]]) -> dict[str, Any]:

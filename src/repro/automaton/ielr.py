@@ -56,9 +56,9 @@ from repro.automaton.bitset import TerminalTable
 from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.items import Item
 from repro.automaton.lalr import LALRAutomaton, build_lalr
-from repro.automaton.lr0 import LR0Automaton, LR0State, closure
+from repro.automaton.lr0 import LR0Automaton, LR0State, closure, predecessor_map
 from repro.automaton.lr1 import LR1Automaton
-from repro.grammar import END_OF_INPUT, Grammar, Symbol, Terminal, normalize_algorithm
+from repro.grammar import END_OF_INPUT, Grammar, Terminal, normalize_algorithm
 from repro.perf import metrics
 
 class IELRState(LR0State):
@@ -123,12 +123,6 @@ class IELRAutomaton(LALRAutomaton):
         #: Size of the canonical LR(1) collection the quotient came from.
         self.canonical_state_count = canonical_state_count
 
-        predecessors: dict[int, dict[Symbol, list[LR0State]]] = {
-            state.id: {} for state in states
-        }
-        for state in states:
-            for symbol, target in state.transitions.items():
-                predecessors[target.id].setdefault(symbol, []).append(state)
         lr0 = LR0Automaton.__new__(LR0Automaton)
         lr0.grammar = grammar
         lr0.states = states
@@ -138,7 +132,7 @@ class IELRAutomaton(LALRAutomaton):
         for state in states:
             by_kernel.setdefault(state.kernel, state)
         lr0._by_kernel = by_kernel
-        lr0.predecessors = predecessors
+        lr0.predecessors = predecessor_map(states, states)
         self.lr0 = lr0
 
     @cached_property
@@ -563,7 +557,7 @@ def classify_conflicts(
     verdict instead of an error. This function builds nothing;
     :attr:`repro.lint.context.LintContext.provenance` supplies *minimal*.
     """
-    conflicts = automaton.tables.conflicts
+    conflicts = automaton.conflicts
     if not conflicts:
         return {}
     if automaton.algorithm != "lalr":

@@ -281,9 +281,14 @@ class LALRAutomaton:
         metrics.count("automaton.conflicts", len(tables.conflicts))
         return tables
 
-    @property
+    @cached_property
     def conflicts(self):
-        """Unresolved conflicts, in (state, terminal) order."""
+        """Unresolved conflicts, in (state, terminal) order.
+
+        The same list as ``tables.conflicts``. An automaton decoded from
+        the cache (:mod:`repro.automaton.serialize`) carries it without
+        materialising the ACTION/GOTO rows, so read conflicts here.
+        """
         return self.tables.conflicts
 
     @cached_property

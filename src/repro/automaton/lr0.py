@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.automaton.items import Item, start_item
 from repro.grammar import Grammar, Nonterminal, Symbol
@@ -75,6 +75,46 @@ def closure(grammar: Grammar, kernel: frozenset[Item]) -> tuple[Item, ...]:
                 seen.add(fresh)
                 ordered.append(fresh)
     return tuple(ordered)
+
+
+def predecessor_map(
+    states: list[LR0State], sources: Iterable[LR0State]
+) -> dict[int, dict[Symbol, list[LR0State]]]:
+    """The reverse transition graph: ``map[s.id][X]`` = states with an X-edge into s.
+
+    Each list holds its sources in the order *sources* visits them (and,
+    within one source, in its transition order). Walks over the reverse
+    graph follow these lists, so a decoded automaton must visit the
+    states in the order its construction did.
+    """
+    predecessors: dict[int, dict[Symbol, list[LR0State]]] = {
+        state.id: {} for state in states
+    }
+    for state in sources:
+        for symbol, target in state.transitions.items():
+            predecessors[target.id].setdefault(symbol, []).append(state)
+    return predecessors
+
+
+def expansion_order(states: list[LR0State]) -> list[LR0State]:
+    """The order the LR(0) builder expands *states* in.
+
+    A LIFO worklist seeded with state 0; each popped state pushes its
+    not-yet-seen targets in transition order — exactly what
+    :meth:`LR0Automaton._build` does as it discovers states, replayed
+    over finished transitions.
+    """
+    seen = {states[0].id}
+    worklist = [states[0]]
+    order: list[LR0State] = []
+    while worklist:
+        state = worklist.pop()
+        order.append(state)
+        for target in state.transitions.values():
+            if target.id not in seen:
+                seen.add(target.id)
+                worklist.append(target)
+    return order
 
 
 class AdjacencyArrays:
@@ -162,7 +202,6 @@ class LR0Automaton:
         state.items = closure(self.grammar, kernel)
         self.states.append(state)
         self._by_kernel[kernel] = state
-        self.predecessors[state.id] = {}
         return state, True
 
     def _build(self) -> None:
@@ -180,9 +219,9 @@ class LR0Automaton:
             for symbol in sorted(moves, key=str):
                 target, fresh = self._intern(frozenset(moves[symbol]))
                 state.transitions[symbol] = target
-                self.predecessors[target.id].setdefault(symbol, []).append(state)
                 if fresh:
                     worklist.append(target)
+        self.predecessors = predecessor_map(self.states, expansion_order(self.states))
 
     # ------------------------------------------------------------------ #
 

@@ -44,6 +44,7 @@ documents of an older version are never even looked up.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Any
 
 from repro.automaton.bitset import TerminalTable
@@ -56,7 +57,12 @@ from repro.automaton.compaction import (
 from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.items import Item
 from repro.automaton.lalr import LALRAutomaton
-from repro.automaton.lr0 import LR0Automaton, LR0State
+from repro.automaton.lr0 import (
+    LR0Automaton,
+    LR0State,
+    expansion_order,
+    predecessor_map,
+)
 from repro.automaton.tables import Accept, Action, ErrorAction, ParseTables, Reduce, Shift
 from repro.grammar import Grammar, Nonterminal, Symbol, Terminal
 
@@ -292,14 +298,20 @@ def automaton_to_dict(automaton: LALRAutomaton) -> dict[str, Any]:
     }
 
 
-def automaton_from_dict(data: dict[str, Any]) -> LALRAutomaton:
+def automaton_from_dict(
+    data: dict[str, Any], grammar: Grammar | None = None
+) -> LALRAutomaton:
     """Reconstruct an :class:`LALRAutomaton` from :func:`automaton_to_dict`.
 
     The grammar is reloaded from its embedded DSL text (identical
-    production indices by the emitter's round-trip guarantee); states,
-    transitions, lookahead masks, and tables are rebuilt directly,
+    production indices by the emitter's round-trip guarantee), unless
+    the caller passes *grammar*, which must emit exactly that text (the
+    automaton cache checks this): the automaton is then decoded against
+    the caller's own productions, source lines included. States,
+    transitions, lookahead masks and conflicts are rebuilt directly,
     skipping LR(0) construction, the lookahead fixpoint, and table
-    building. A document of any other format version raises
+    building. The ACTION/GOTO rows are decoded on first use (see
+    :class:`DecodedAutomaton`). A document of any other format version raises
     ``ValueError`` (which the automaton cache treats as a miss).
     """
     version = data.get("full_version")
@@ -307,10 +319,12 @@ def automaton_from_dict(data: dict[str, Any]) -> LALRAutomaton:
         raise ValueError(f"unsupported full-automaton format version {version!r}")
 
     algorithm = data["algorithm"]
+    if grammar is None:
+        from repro.grammar.dsl import load_grammar
 
-    from repro.grammar.dsl import load_grammar
-
-    grammar = load_grammar(data["grammar_dsl"], name=data.get("grammar", "grammar"))
+        grammar = load_grammar(
+            data["grammar_dsl"], name=data.get("grammar", "grammar")
+        )
     productions = grammar.productions
     nonterminal_names = {nt.name for nt in grammar.nonterminals}
 
@@ -319,96 +333,134 @@ def automaton_from_dict(data: dict[str, Any]) -> LALRAutomaton:
         for name in data["symbols"]
     ]
     terminal_table = TerminalTable(Terminal(name) for name in data["terminals"])
-    terminals = terminal_table.terminals
     pool = [int(mask) for mask in data["la_pool"]]
+
+    # One Item per (production, dot), shared by every state holding it,
+    # as the builder shares them through ``Item.advance``.
+    interned: dict[tuple[int, int], Item] = {}
+
+    def decode_item(index: int, dot: int) -> Item:
+        item = interned.get((index, dot))
+        if item is None:
+            item = interned[(index, dot)] = Item(productions[index], dot)
+        return item
 
     states: list[LR0State] = []
     for state_id, encoded in enumerate(data["states"]):
         raw = encoded["items"]
-        items = tuple(
-            Item(productions[raw[i]], raw[i + 1]) for i in range(0, len(raw), 2)
-        )
+        items = tuple(decode_item(raw[i], raw[i + 1]) for i in range(0, len(raw), 2))
         states.append(
             LR0State(id=state_id, kernel=frozenset(items[: encoded["k"]]), items=items)
         )
     lookahead_masks: dict[tuple[int, Item], int] = {}
-    predecessors: dict[int, dict[Symbol, list[LR0State]]] = {
-        state.id: {} for state in states
-    }
     for state, trans, row in zip(
         states, expand_rows(data["trans"]), expand_rows(data["lookaheads"])
     ):
         transitions = state.transitions
         for i in range(0, len(trans), 2):
-            symbol, target = symbols[trans[i]], states[trans[i + 1]]
-            transitions[symbol] = target
-            predecessors[target.id].setdefault(symbol, []).append(state)
+            transitions[symbols[trans[i]]] = states[trans[i + 1]]
         state_id = state.id
         for item, pool_id in zip(state.items, row):
             lookahead_masks[(state_id, item)] = pool[pool_id]
 
-    def decode_action_row(flat: list[int]) -> dict[Terminal, Action]:
-        row: dict[Terminal, Action] = {}
-        for i in range(0, len(flat), 3):
-            terminal = terminals[flat[i]]
-            op, arg = flat[i + 1], flat[i + 2]
-            if op == _OP_SHIFT:
-                row[terminal] = Shift(arg)
-            elif op == _OP_REDUCE:
-                row[terminal] = Reduce(productions[arg])
-            elif op == _OP_ACCEPT:
-                row[terminal] = Accept()
-            else:
-                row[terminal] = ErrorAction()
-        return row
-
-    def decode_goto_row(flat: list[int]) -> dict[Nonterminal, int]:
-        row: dict[Nonterminal, int] = {}
-        for i in range(0, len(flat), 2):
-            symbol = symbols[flat[i]]
-            assert isinstance(symbol, Nonterminal)
-            row[symbol] = flat[i + 1]
-        return row
-
-    def decode_item(encoded: list[int]) -> Item:
-        return Item(productions[encoded[0]], encoded[1])
-
-    tables = ParseTables(
-        action=[decode_action_row(flat) for flat in restore_rows(data["action"], 3)],
-        goto=[decode_goto_row(flat) for flat in restore_rows(data["goto"], 2)],
-        conflicts=[
-            Conflict(
-                state_id=entry["state"],
-                terminal=Terminal(entry["terminal"]),
-                kind=ConflictKind(entry["kind"]),
-                reduce_item=decode_item(entry["reduce"]),
-                other_item=decode_item(entry["other"]),
-            )
-            for entry in data["conflicts"]
-        ],
-        resolved_count=data.get("resolved_count", 0),
-        used_precedence=frozenset(
-            Terminal(name) for name in data.get("used_precedence", ())
-        ),
-    )
-
     # Wire the ``__new__``-made instances together. The nullable/FIRST
-    # analysis, the set-like lookahead views, and the adjacency arrays all
-    # stay lazy — cached consumers that never touch them never pay for them.
+    # analysis, the set-like lookahead views, the adjacency arrays and
+    # the ACTION/GOTO rows all stay lazy — cached consumers that never
+    # touch them never pay for them.
     lr0 = LR0Automaton.__new__(LR0Automaton)
     lr0.grammar = grammar
     lr0.states = states
     lr0._by_kernel = {state.kernel: state for state in states}
-    lr0.predecessors = predecessors
+    # Predecessor lists in the order the construction appended them: the
+    # LR(0) builder's LIFO expansion for LALR, state ids for the LR(1)
+    # quotients. Walks over the reverse graph depend on this order.
+    lr0.predecessors = predecessor_map(
+        states, expansion_order(states) if algorithm == "lalr" else states
+    )
 
-    automaton = LALRAutomaton.__new__(LALRAutomaton)
+    automaton = DecodedAutomaton.__new__(DecodedAutomaton)
     automaton.grammar = grammar
     automaton.lr0 = lr0
     automaton.terminal_table = terminal_table
     automaton.lookahead_masks = lookahead_masks
     automaton.algorithm = algorithm
-    automaton.__dict__["tables"] = tables  # pre-seed the lazy property
+    automaton.conflicts = [
+        Conflict(
+            state_id=entry["state"],
+            terminal=Terminal(entry["terminal"]),
+            kind=ConflictKind(entry["kind"]),
+            reduce_item=decode_item(*entry["reduce"]),
+            other_item=decode_item(*entry["other"]),
+        )
+        for entry in data["conflicts"]
+    ]
+    automaton._encoded_tables = {
+        "action": data["action"],
+        "goto": data["goto"],
+        "symbols": symbols,
+        "productions": productions,
+        "resolved_count": data.get("resolved_count", 0),
+        "used_precedence": data.get("used_precedence", ()),
+    }
     return automaton
+
+
+class DecodedAutomaton(LALRAutomaton):
+    """An :class:`LALRAutomaton` rebuilt by :func:`automaton_from_dict`.
+
+    States, transitions, lookahead masks and :attr:`conflicts` are
+    decoded up front. The ACTION/GOTO rows stay in their compacted
+    encoding until :attr:`tables` is first read: the counterexample
+    pipeline, the walk and the service read only the conflicts.
+    """
+
+    _encoded_tables: dict[str, Any]
+
+    @cached_property
+    def tables(self) -> ParseTables:
+        """The parse tables, decoded from the document on first use."""
+        encoded = self.__dict__.pop("_encoded_tables")
+        terminals = self.terminal_table.terminals
+        symbols: list[Symbol] = encoded["symbols"]
+        productions = encoded["productions"]
+
+        def decode_action_row(flat: list[int]) -> dict[Terminal, Action]:
+            row: dict[Terminal, Action] = {}
+            for i in range(0, len(flat), 3):
+                terminal = terminals[flat[i]]
+                op, arg = flat[i + 1], flat[i + 2]
+                if op == _OP_SHIFT:
+                    row[terminal] = Shift(arg)
+                elif op == _OP_REDUCE:
+                    row[terminal] = Reduce(productions[arg])
+                elif op == _OP_ACCEPT:
+                    row[terminal] = Accept()
+                else:
+                    row[terminal] = ErrorAction()
+            return row
+
+        def decode_goto_row(flat: list[int]) -> dict[Nonterminal, int]:
+            row: dict[Nonterminal, int] = {}
+            for i in range(0, len(flat), 2):
+                symbol = symbols[flat[i]]
+                assert isinstance(symbol, Nonterminal)
+                row[symbol] = flat[i + 1]
+            return row
+
+        return ParseTables(
+            action=[
+                decode_action_row(flat)
+                for flat in restore_rows(encoded["action"], 3)
+            ],
+            goto=[
+                decode_goto_row(flat) for flat in restore_rows(encoded["goto"], 2)
+            ],
+            conflicts=self.conflicts,
+            resolved_count=encoded["resolved_count"],
+            used_precedence=frozenset(
+                Terminal(name) for name in encoded["used_precedence"]
+            ),
+        )
 
 
 def dump_automaton(automaton: LALRAutomaton) -> str:

@@ -140,7 +140,7 @@ def _run_corpus_unit(
         "grammar": unit.key,
         "algorithm": automaton.algorithm,
         "states": len(automaton.states),
-        "conflicts": len(automaton.tables.conflicts),
+        "conflicts": len(automaton.conflicts),
         "lint": lint_counts,
         "ambiguity": ambiguity,
         "provenance": provenance,

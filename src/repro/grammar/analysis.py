@@ -11,12 +11,16 @@ algorithms rely on:
   (used in §4 to complete nonunifying counterexamples so that the conflict
   terminal immediately follows the dot).
 
-All results are computed eagerly in the constructor; instances are cheap
-to query and safe to share.
+Nullable and FIRST are computed in the constructor, since every
+construction reads them; every other table is computed on first use, so
+a consumer pays only for the tables it reads (the automaton cache's warm
+path needs neither FOLLOW nor the starter table). Instances are cheap to
+query and safe to share.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.grammar.grammar import Grammar, Production
@@ -33,17 +37,31 @@ class GrammarAnalysis:
         self.grammar = grammar
         self.nullable: frozenset[Nonterminal] = self._compute_nullable()
         self.first: dict[Symbol, frozenset[Terminal]] = self._compute_first()
-        self.follow: dict[Nonterminal, frozenset[Terminal]] = self._compute_follow()
-        self._min_yield: dict[Symbol, float] = self._compute_min_yield()
-        self._nullable_production: dict[Nonterminal, Production] = (
-            self._compute_nullable_productions()
-        )
-        self._starters: dict[tuple[Nonterminal, Terminal], tuple[Production, int]] = (
-            self._compute_starters()
-        )
-        self.first_symbols: dict[Symbol, frozenset[Symbol]] = (
-            self._compute_first_symbols()
-        )
+
+    # ------------------------------------------------------------------ #
+    # Tables computed on first use
+
+    @cached_property
+    def follow(self) -> dict[Nonterminal, frozenset[Terminal]]:
+        """FOLLOW sets (read by SLR and the lint rules)."""
+        return self._compute_follow()
+
+    @cached_property
+    def _min_yield(self) -> dict[Symbol, float]:
+        return self._compute_min_yield()
+
+    @cached_property
+    def _nullable_production(self) -> dict[Nonterminal, Production]:
+        return self._compute_nullable_productions()
+
+    @cached_property
+    def _starters(self) -> dict[tuple[Nonterminal, Terminal], tuple[Production, int]]:
+        return self._compute_starters()
+
+    @cached_property
+    def first_symbols(self) -> dict[Symbol, frozenset[Symbol]]:
+        """Symbol-level FIRST (see :meth:`_compute_first_symbols`)."""
+        return self._compute_first_symbols()
 
     # ------------------------------------------------------------------ #
     # Fixpoint computations

@@ -48,8 +48,8 @@ from repro.automaton.conflicts import Conflict
 from repro.automaton.lalr import LALRAutomaton
 from repro.automaton.serialize import (
     FULL_FORMAT_VERSION,
+    automaton_from_dict,
     dump_automaton,
-    load_automaton,
 )
 from repro.grammar import Grammar
 from repro.grammar.emit import dump_grammar
@@ -83,7 +83,10 @@ def grammar_fingerprint(grammar: Grammar, algorithm: str = "lalr") -> str:
     ambiguity-analysis version are folded in so format or walk-semantics
     changes self-invalidate old entries (including memoized verdicts).
     """
-    canonical = dump_grammar(grammar)
+    return _fingerprint(dump_grammar(grammar), algorithm)
+
+
+def _fingerprint(canonical: str, algorithm: str) -> str:
     payload = (
         f"repro.automaton/{FULL_FORMAT_VERSION}"
         f"/a{ANALYSIS_VERSION}/{algorithm}\n{canonical}".encode()
@@ -198,7 +201,8 @@ class AutomatonCache:
         recorded construction algorithm disagrees with the requested one
         (hash collision or hand-edited file) is also a miss.
         """
-        path = self._path_for(grammar_fingerprint(grammar, algorithm))
+        canonical = dump_grammar(grammar)
+        path = self._path_for(_fingerprint(canonical, algorithm))
         try:
             text = path.read_text()
         except OSError:
@@ -206,7 +210,20 @@ class AutomatonCache:
             return None
         try:
             with metrics.span("cache/decode"):
-                automaton = load_automaton(text)
+                document = json.loads(text)
+                # An entry holding the caller's exact DSL text is decoded
+                # against the caller's Grammar instance, so identity-based
+                # consumers (reports, registries) see the object they
+                # passed and productions keep their source lines. Any
+                # other entry (hash collision, hand-edited file) keeps
+                # the grammar embedded in it.
+                own = (
+                    grammar
+                    if isinstance(document, dict)
+                    and document.get("grammar_dsl") == canonical
+                    else None
+                )
+                automaton = automaton_from_dict(document, own)
         except (ValueError, KeyError, IndexError, TypeError):
             self._quarantine(path)
             self._miss()
@@ -214,13 +231,6 @@ class AutomatonCache:
         if automaton.algorithm != algorithm:
             self._miss()
             return None
-        # The cached automaton carries its own reloaded Grammar; swap in
-        # the caller's instance so identity-based consumers (reports,
-        # registries) see the object they passed.  Safe because the
-        # fingerprint guarantees the two emit identical DSL text.
-        if dump_grammar(automaton.grammar) == dump_grammar(grammar):
-            automaton.grammar = grammar
-            automaton.lr0.grammar = grammar
         self.hits += 1
         metrics.count("cache.hit")
         return automaton
@@ -261,7 +271,7 @@ class AutomatonCache:
         if block.get("analysis_version") != ANALYSIS_VERSION:
             return None
         entries = block.get("verdicts")
-        conflicts = automaton.tables.conflicts
+        conflicts = automaton.conflicts
         if not isinstance(entries, list) or len(entries) != len(conflicts):
             return None
         terminals = {t.name: t for t in automaton.grammar.terminals}
@@ -302,7 +312,7 @@ class AutomatonCache:
         automaton itself is serialized first, so verdict memoization
         works even for runs that built the automaton uncached.
         """
-        conflicts = automaton.tables.conflicts
+        conflicts = automaton.conflicts
         if any(conflict not in verdicts for conflict in conflicts):
             return None
         path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))

@@ -11,6 +11,10 @@ supervisor watches the attempt from the parent event loop:
 * the attempt outlives its **hard deadline** (request budget + slack) →
   timeout.
 
+The watch wakes on the event loop when the result pipe turns readable
+or the process exits; the hang and hard-cap deadlines are its only
+timers, so a finished attempt is seen as soon as its result lands.
+
 Crash/hang/timeout are transient: the supervisor retries under a
 :class:`~repro.robust.retry.RetryPolicy` (exponential backoff + seeded
 jitter, awaited asynchronously so the event loop keeps serving). Every
@@ -53,7 +57,6 @@ class SupervisorConfig:
     #: Added to the request's cumulative budget for the hard wall cap
     #: (stage slack, serialization, interpreter startup).
     hard_timeout_grace: float = 30.0
-    poll_interval: float = 0.02
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(
             max_attempts=3, base_delay=0.05, multiplier=2.0, max_delay=2.0
@@ -188,9 +191,19 @@ class WorkerSupervisor:
         started = self._clock()
         last_beat = started
         result: dict[str, Any] | None = None
+        # Wake when the pipe has data or EOF, or the process exits; the
+        # only timer is the nearer of the hang and hard-cap deadlines.
+        # Readers are level-triggered, so data arriving between a drain
+        # and the next wait still sets the event.
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
+        watched = (parent_conn.fileno(), process.sentinel)
+        for fd in watched:
+            loop.add_reader(fd, wake.set)
         try:
             while True:
                 drained_eof = False
+                wake.clear()
                 try:
                     while parent_conn.poll(0):
                         kind, value = parent_conn.recv()
@@ -222,11 +235,23 @@ class WorkerSupervisor:
                         failure="timeout",
                         detail=f"exceeded hard cap of {hard_cap:.1f}s",
                     )
-                await asyncio.sleep(self.config.poll_interval)
+                deadline = min(last_beat + self.config.hang_timeout, started + hard_cap)
+                try:
+                    await asyncio.wait_for(wake.wait(), max(deadline - now, 0.0))
+                except asyncio.TimeoutError:
+                    pass
         finally:
+            for fd in watched:
+                loop.remove_reader(fd)
             parent_conn.close()
             if process.is_alive():
-                self._kill(process)
+                # Usually a worker still exiting after its result landed:
+                # signal it without waiting, so the loop never blocks on
+                # its teardown. The next Process.start() reaps it.
+                try:
+                    process.kill()
+                except (OSError, ValueError):
+                    pass
             self._live.discard(process)
 
     def _kill(self, process: multiprocessing.process.BaseProcess) -> None:

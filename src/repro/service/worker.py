@@ -30,7 +30,13 @@ import time
 import traceback
 from typing import Any, Mapping
 
+# The analysis imports sit at module level on purpose: the supervisor
+# imports this module in the server before it forks, so every worker
+# inherits them instead of importing them again on each job.
+from repro.core import CounterexampleFinder, safe_format_report, summary_to_json
+from repro.grammar import GrammarError, load_grammar, normalize_algorithm
 from repro.perf import metrics
+from repro.perf.cache import AutomatonCache, build_automaton_cached
 from repro.robust.faults import (
     FaultSpec,
     InjectedCrash,
@@ -52,10 +58,6 @@ def run_analysis(payload: Mapping[str, Any]) -> dict[str, Any]:
     per-phase metrics — a cache-warm request shows no ``automaton``
     build phase, which is how the service's metrics surface cache hits.
     """
-    from repro.core import CounterexampleFinder, safe_format_report, summary_to_json
-    from repro.grammar import GrammarError, load_grammar, normalize_algorithm
-    from repro.perf.cache import AutomatonCache, build_automaton_cached
-
     options = payload.get("options", {})
     sleep_s = float(options.get("chaos_sleep_s", 0.0) or 0.0)
     if sleep_s > 0.0:

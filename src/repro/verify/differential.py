@@ -396,7 +396,7 @@ class DifferentialOracle:
         the fuzz harness classifies them as crashes (broken-walker
         canary).
         """
-        conflicts = self.automaton.tables.conflicts
+        conflicts = self.automaton.conflicts
         if not conflicts:
             return
         from repro.analysis import AmbiguityVerdict

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from restore_reference import reference_restore_rows
 
 from repro.automaton import build_lalr, compact_rows, compaction_stats, restore_rows
 from repro.automaton.compaction import expand_rows, intern_rows
@@ -55,6 +57,42 @@ class TestCompactRows:
         restored = restore_rows(compact_rows(rows, 2, 4), 2)
         keys = restored[0][::2]
         assert keys == sorted(keys)
+
+
+@st.composite
+def coded_tables(draw, stride):
+    """Flat rows over a small key universe with few distinct payloads, so
+    identical columns and identical rows both occur often."""
+    num_keys = draw(st.integers(min_value=0, max_value=8))
+    payloads = st.lists(
+        st.integers(min_value=-1, max_value=2),
+        min_size=stride - 1,
+        max_size=stride - 1,
+    )
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        keys = draw(st.permutations(range(num_keys)))
+        keys = keys[: draw(st.integers(min_value=0, max_value=num_keys))]
+        flat = []
+        for key in keys:
+            flat.append(key)
+            flat.extend(draw(payloads))
+        rows.append(flat)
+    return rows, num_keys
+
+
+class TestRestoreMatchesReference:
+    """The O(entries) restorer returns what the column-probing one did."""
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference_restorer(self, stride, data):
+        rows, num_keys = data.draw(coded_tables(stride))
+        compacted = compact_rows(rows, stride, num_keys)
+        restored = restore_rows(compacted, stride)
+        assert restored == reference_restore_rows(compacted, stride)
+        assert as_maps(restored, stride) == as_maps(rows, stride)
 
 
 class TestInternRows:

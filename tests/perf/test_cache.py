@@ -58,6 +58,27 @@ class TestCache:
         assert len(second.states) == len(first.states)
         assert second.grammar is figure1  # caller's instance swapped in
 
+    def test_hit_keeps_the_callers_source_lines(self, cache):
+        """A hit decodes against the caller's productions, so a conflict's
+        items point at the caller's source lines, as on a cold build (the
+        grammar embedded in the entry is the canonical emission, whose
+        lines differ)."""
+        text = "// header\n\n// more\n\ne : e '+' e\n  | ID\n  ;\n"
+        cold = build_automaton_cached(load_grammar(text), cache, "lalr")
+        grammar = load_grammar(text)
+        warm = build_automaton_cached(grammar, cache, "lalr")
+        assert cache.hits == 1
+        assert warm.grammar is grammar
+        assert warm.conflicts == cold.conflicts
+        lines = [c.reduce_item.production.line for c in warm.conflicts]
+        assert lines == [c.reduce_item.production.line for c in cold.conflicts]
+        assert lines == [5]
+        productions = grammar.productions
+        assert all(
+            c.reduce_item.production is productions[c.reduce_item.production.index]
+            for c in warm.conflicts
+        )
+
     def test_cached_automaton_is_equivalent(self, cache, figure1):
         built = build_automaton_cached(figure1, cache, "lalr")
         loaded = build_automaton_cached(figure1, cache, "lalr")

@@ -46,7 +46,6 @@ def _config(tmp_path, **overrides) -> ServiceConfig:
     supervisor = SupervisorConfig(
         heartbeat_interval=0.05,
         hang_timeout=0.6,
-        poll_interval=0.01,
         retry=RetryPolicy(max_attempts=overrides.pop("retry_attempts", 3),
                           base_delay=0.01, multiplier=2.0, jitter=0.0),
     )

@@ -28,7 +28,6 @@ def _config(tmp_path, **overrides) -> ServiceConfig:
         supervisor=SupervisorConfig(
             heartbeat_interval=0.05,
             hang_timeout=2.0,
-            poll_interval=0.01,
             retry=RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0),
         ),
     )
