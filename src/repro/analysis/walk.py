@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.analysis.sr import SRAutomaton
 from repro.automaton.conflicts import Conflict
@@ -97,6 +97,34 @@ class ConflictAmbiguity:
             return f"proved unambiguous — {self.detail}"
         return f"inconclusive — {self.detail}"
 
+    def to_json(self) -> dict[str, Any]:
+        """The verdict as reports and the automaton cache store it."""
+        return {
+            "verdict": self.verdict.value,
+            "witness": (
+                [t.name for t in self.witness] if self.witness is not None else None
+            ),
+            "detail": self.detail,
+            "nodes": self.nodes,
+        }
+
+    @classmethod
+    def from_json(
+        cls, data: Mapping[str, Any], terminals: Mapping[str, Terminal]
+    ) -> "ConflictAmbiguity":
+        """Inverse of :meth:`to_json`; *terminals* maps witness names."""
+        witness = data["witness"]
+        return cls(
+            verdict=AmbiguityVerdict(data["verdict"]),
+            witness=(
+                tuple(terminals[name] for name in witness)
+                if witness is not None
+                else None
+            ),
+            detail=data["detail"],
+            nodes=data["nodes"],
+        )
+
 
 # Walk-node kinds: before the two cursors diverge the node tracks one
 # suffix stack; afterwards it tracks the pair, sharing the bottom state.
@@ -119,8 +147,6 @@ class _Walk:
     sr: SRAutomaton
     conflict: Conflict
     budget: Budget
-    max_stack: int = DEFAULT_MAX_STACK
-    max_closure: int = DEFAULT_MAX_CLOSURE
     nodes: int = 0
     truncated: bool = False
     parents: dict = field(default_factory=dict)
@@ -179,7 +205,7 @@ class _Walk:
             )
         if self.truncated:
             caps = (
-                f"stack depth {self.max_stack} / closure {self.max_closure}"
+                f"stack depth {DEFAULT_MAX_STACK} / closure {DEFAULT_MAX_CLOSURE}"
                 if rejected_witnesses == 0
                 else "accept path crossed a nonproductive context symbol"
             )
@@ -273,7 +299,7 @@ class _Walk:
         entry = sr.entry_symbols[bottom]
         if entry is None:
             return  # start state: nothing below, by construction.
-        if len(node[1]) >= self.max_stack:
+        if len(node[1]) >= DEFAULT_MAX_STACK:
             self.truncated = True
             return
         for predecessor in sr.predecessor_ids[bottom]:
@@ -306,7 +332,7 @@ class _Walk:
         if target < 0:
             return [], False
         reduced = (*base, target)
-        if len(reduced) > self.max_stack:
+        if len(reduced) > DEFAULT_MAX_STACK:
             self.truncated = True
             return [], False
         moves, underflow = self._closure_moves(reduced, t_bit)
@@ -321,7 +347,7 @@ class _Walk:
             return [], False
         target = self.sr.shift_targets[top][t_bit]
         shifted = (*stack, target)
-        if len(shifted) > self.max_stack:
+        if len(shifted) > DEFAULT_MAX_STACK:
             self.truncated = True
             return [], False
         return [shifted], False
@@ -346,7 +372,7 @@ class _Walk:
         steps = 0
         while agenda:
             steps += 1
-            if steps > self.max_closure:
+            if steps > DEFAULT_MAX_CLOSURE:
                 self.truncated = True
                 break
             current, mask = agenda.pop()
@@ -358,7 +384,7 @@ class _Walk:
                 while remaining:
                     low = remaining & -remaining
                     shifted = (*current, targets[low])
-                    if len(shifted) > self.max_stack:
+                    if len(shifted) > DEFAULT_MAX_STACK:
                         self.truncated = True
                     elif (low, shifted) not in emitted:
                         emitted.add((low, shifted))
@@ -376,7 +402,7 @@ class _Walk:
                 if target < 0:
                     continue
                 reduced = (*base, target)
-                if len(reduced) > self.max_stack:
+                if len(reduced) > DEFAULT_MAX_STACK:
                     self.truncated = True
                     continue
                 key = (reduced, gated)
@@ -441,57 +467,32 @@ def walk_conflict(
     conflict: Conflict,
     *,
     budget: Budget | None = None,
-    max_stack: int = DEFAULT_MAX_STACK,
-    max_closure: int = DEFAULT_MAX_CLOSURE,
 ) -> ConflictAmbiguity:
     """Run one bounded pair walk and return the conflict's verdict."""
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_MAX_NODES, stage="ambiguity")
-    walk = _Walk(
-        sr=sr,
-        conflict=conflict,
-        budget=budget,
-        max_stack=max_stack,
-        max_closure=max_closure,
-    )
-    return walk.run()
+    return _Walk(sr=sr, conflict=conflict, budget=budget).run()
 
 
 def analyze_conflicts(
-    automaton: LALRAutomaton,
-    *,
-    budget: Budget | None = None,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_stack: int = DEFAULT_MAX_STACK,
-    max_closure: int = DEFAULT_MAX_CLOSURE,
+    automaton: LALRAutomaton, *, max_nodes: int = DEFAULT_MAX_NODES
 ) -> dict[Conflict, ConflictAmbiguity]:
     """Walk every reported conflict of *automaton*, yielding verdicts.
 
-    Without an explicit *budget* each conflict gets a fresh node-only
-    budget of *max_nodes* — deterministic across machines, so golden
-    verdicts can be pinned.  A shared external *budget* (e.g. from the
-    CLI's ``--time-limit``) makes later conflicts cheaply inconclusive
-    once it is spent, which is the degradation the stress job asserts.
+    Each conflict gets a fresh node-only budget of *max_nodes* —
+    deterministic across machines, so golden verdicts can be pinned.
     """
     conflicts = automaton.conflicts
     if not conflicts:
         return {}
     sr = SRAutomaton(automaton)
     with metrics.span("analysis/walk"):
-        verdicts: dict[Conflict, ConflictAmbiguity] = {}
-        for conflict in conflicts:
-            conflict_budget = (
-                budget
-                if budget is not None
-                else Budget(max_nodes=max_nodes, stage="ambiguity")
+        verdicts = {
+            conflict: walk_conflict(
+                sr, conflict, budget=Budget(max_nodes=max_nodes, stage="ambiguity")
             )
-            verdicts[conflict] = walk_conflict(
-                sr,
-                conflict,
-                budget=conflict_budget,
-                max_stack=max_stack,
-                max_closure=max_closure,
-            )
+            for conflict in conflicts
+        }
         for verdict in verdicts.values():
             metrics.count(f"analysis.verdict.{verdict.verdict.value}")
         return verdicts

@@ -15,7 +15,7 @@ from repro.automaton.ielr import (
     conflict_signatures,
 )
 from repro.automaton.items import Item, end_item, start_item
-from repro.automaton.lalr import LALRAutomaton, build_lalr, compute_lalr_lookaheads
+from repro.automaton.lalr import LALRAutomaton, build_lalr
 from repro.automaton.lookups import ReverseLookups
 from repro.automaton.serialize import (
     automaton_from_dict,
@@ -73,7 +73,6 @@ __all__ = [
     "compact_rows",
     "compaction_stats",
     "conflict_signatures",
-    "compute_lalr_lookaheads",
     "compute_slr_lookaheads",
     "count_slr_conflicts",
     "dump_automaton",

@@ -34,68 +34,6 @@ from repro.grammar import (
 )
 
 
-def compute_lalr_lookaheads(
-    automaton: LR0Automaton, analysis: GrammarAnalysis
-) -> dict[tuple[int, Item], frozenset[Terminal]]:
-    """LALR(1) lookahead sets for every ``(state id, item)`` pair.
-
-    This is the straightforward ``frozenset``-based formulation. The
-    automaton itself runs :func:`compute_lalr_lookahead_masks` (the same
-    fixpoint over int bitmasks — the hot-path representation); this
-    version is kept as the reference oracle the property tests check the
-    bitmask fixpoint against.
-    """
-    lookaheads: dict[tuple[int, Item], set[Terminal]] = {
-        (state.id, item): set() for state in automaton.states for item in state.items
-    }
-    #: propagation edges: source key -> target keys receiving everything
-    propagate: dict[tuple[int, Item], list[tuple[int, Item]]] = {
-        key: [] for key in lookaheads
-    }
-
-    start_key = (0, automaton.start_state.items[0])
-    lookaheads[start_key].add(END_OF_INPUT)
-
-    for state in automaton.states:
-        for item in state.items:
-            key = (state.id, item)
-            symbol = item.next_symbol
-            if symbol is None:
-                continue
-            # Goto channel.
-            target_state = state.transitions[symbol]
-            propagate[key].append((target_state.id, item.advance()))
-            # Closure channel.
-            if symbol.is_nonterminal:
-                assert isinstance(symbol, Nonterminal)
-                beta = item.production.rhs[item.dot + 1 :]
-                spontaneous, beta_nullable = analysis.first_of_sequence_ex(beta)
-                for production in automaton.grammar.productions_of(symbol):
-                    closure_key = (state.id, Item(production, 0))
-                    lookaheads[closure_key].update(spontaneous)
-                    if beta_nullable:
-                        propagate[key].append(closure_key)
-
-    # Worklist fixpoint over the propagation graph.
-    worklist: list[tuple[int, Item]] = [
-        key for key, values in lookaheads.items() if values
-    ]
-    in_worklist = set(worklist)
-    while worklist:
-        key = worklist.pop()
-        in_worklist.discard(key)
-        source = lookaheads[key]
-        for target in propagate[key]:
-            target_set = lookaheads[target]
-            before = len(target_set)
-            target_set |= source
-            if len(target_set) != before and target not in in_worklist:
-                worklist.append(target)
-                in_worklist.add(target)
-
-    return {key: frozenset(values) for key, values in lookaheads.items()}
-
-
 def compute_lalr_lookahead_masks(
     automaton: LR0Automaton,
     analysis: GrammarAnalysis,
@@ -103,11 +41,10 @@ def compute_lalr_lookahead_masks(
 ) -> dict[tuple[int, Item], int]:
     """LALR(1) lookaheads as int bitmasks over *table*.
 
-    Identical channel structure to :func:`compute_lalr_lookaheads`, but
-    the per-key value is a bitmask, so the fixpoint's union and
+    The per-key value is a bitmask, so the fixpoint's union and
     changed-ness checks are single int operations instead of per-element
-    set work. Must compute exactly ``mask_of(reference[key])`` for every
-    key — the property tests enforce this.
+    set work. The property tests check it against a ``frozenset``
+    formulation of the same channels, key by key.
     """
     masks: dict[tuple[int, Item], int] = {
         (state.id, item): 0 for state in automaton.states for item in state.items

@@ -9,13 +9,13 @@ byte-stable campaign report:
 
 * :mod:`repro.campaign.units` — specs, unit addressing, sharding;
 * :mod:`repro.campaign.runner` — unit execution, payload/telemetry split;
-* :mod:`repro.campaign.ledger` — per-shard resumable checkpoints;
-* :mod:`repro.campaign.scheduler` — local fleet + CI-matrix execution;
+* :mod:`repro.campaign.scheduler` — local fleet + CI-matrix execution,
+  checkpointing each unit to a per-shard
+  :class:`~repro.robust.ledger.SnapshotLedger` it resumes from;
 * :mod:`repro.campaign.report` — merge, aggregation, gating, summaries;
 * :mod:`repro.campaign.cli` — ``repro-conflicts campaign ...``.
 """
 
-from repro.campaign.ledger import LedgerState, ShardLedger
 from repro.campaign.report import (
     MergeError,
     check_report,
@@ -38,9 +38,7 @@ from repro.campaign.units import (
 __all__ = [
     "CampaignScheduler",
     "CampaignSpec",
-    "LedgerState",
     "MergeError",
-    "ShardLedger",
     "ShardSelection",
     "UnitResult",
     "WorkUnit",

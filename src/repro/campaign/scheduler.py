@@ -16,12 +16,18 @@ Two execution shapes, one substrate:
   owning shard, so the merged report is indistinguishable from an
   unstolen run.
 
-Every unit is checkpointed to its shard's crash-safe ledger
-(:mod:`repro.campaign.ledger`): ``running`` before execution, ``done``
-with the full result after. ``kill -9`` at any point loses at most the
-in-flight units; re-invoking the same command replays the ledger, skips
-terminal units, and re-runs only the interrupted ones — the merged
-report comes out byte-identical to an uninterrupted run's.
+Every unit is checkpointed to its shard's crash-safe
+:class:`~repro.robust.ledger.SnapshotLedger`
+(``shard-K-of-M.ledger.jsonl``, keyed by ``unit``): a ``running``
+snapshot with the attempt number before execution, a ``done`` snapshot
+with the full :class:`~repro.campaign.runner.UnitResult` after. The
+last snapshot per unit wins on replay. ``kill -9`` at any point loses
+at most the in-flight units; re-invoking the same command replays the
+ledger, skips ``done`` units, and re-runs only the ``running`` ones with
+their attempt counter bumped — the merged report comes out
+byte-identical to an uninterrupted run's. Every ``done`` snapshot's
+digest is kept on replay: a unit whose attempts disagree on the
+deterministic payload is a **flake** (:func:`replay_units`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.campaign.ledger import ShardLedger
 from repro.campaign.runner import UnitResult, execute_unit, execute_unit_json
 from repro.campaign.units import (
     SCHEMA,
@@ -44,6 +49,49 @@ from repro.campaign.units import (
     WorkUnit,
     select_shard,
 )
+from repro.robust.ledger import SnapshotLedger
+
+RUNNING = "running"
+DONE = "done"
+
+
+def replay_units(
+    ledger: SnapshotLedger[dict[str, Any]],
+) -> tuple[dict[str, UnitResult], dict[str, int], dict[str, list[str]]]:
+    """Fold a shard ledger into ``(completed, interrupted, flakes)``.
+
+    *completed* maps each unit whose last intact snapshot is ``done`` to
+    its result (terminal: never re-run); *interrupted* maps every other
+    unit to its last attempt number (it re-runs). *flakes* maps each
+    unit whose ``done`` snapshots carry more than one digest to all of
+    them in order — every intact ``done`` line counts, not just the
+    winning last one, since re-run disagreements are what it records.
+    """
+    latest: dict[str, dict[str, Any]] = {}
+    digests: dict[str, list[str]] = {}
+    for unit_id, snapshot in ledger.snapshots():
+        latest[unit_id] = snapshot
+        result = snapshot.get("result")
+        if snapshot.get("state") == DONE and isinstance(result, dict):
+            digest = result.get("digest")
+            if isinstance(digest, str):
+                digests.setdefault(unit_id, []).append(digest)
+    completed: dict[str, UnitResult] = {}
+    interrupted: dict[str, int] = {}
+    for unit_id, snapshot in latest.items():
+        if snapshot.get("state") == DONE:
+            try:
+                completed[unit_id] = UnitResult.from_json(snapshot["result"])
+                continue
+            except (KeyError, TypeError, ValueError):
+                pass
+        interrupted[unit_id] = int(snapshot.get("attempt", 1))
+    flakes = {
+        unit_id: seen
+        for unit_id, seen in sorted(digests.items())
+        if len(set(seen)) > 1
+    }
+    return completed, interrupted, flakes
 
 
 @dataclass
@@ -51,7 +99,7 @@ class _ShardRun:
     """Mutable state of one shard during an invocation."""
 
     selection: ShardSelection
-    ledger: ShardLedger
+    ledger: SnapshotLedger[dict[str, Any]]
     pending: deque[WorkUnit] = field(default_factory=deque)
     results: dict[str, UnitResult] = field(default_factory=dict)
     #: Completed attempts so far per unit (seeded from interrupted runs).
@@ -66,8 +114,11 @@ class _ShardRun:
     def name(self) -> str:
         return self.selection.name
 
-    def next_attempt(self, unit: WorkUnit) -> int:
-        return self.attempts.get(unit.id, 0) + 1
+    def begin(self, unit: WorkUnit) -> int:
+        """Checkpoint *unit* as running; returns its attempt number."""
+        attempt = self.attempts.get(unit.id, 0) + 1
+        self.ledger.append({"unit": unit.id, "state": RUNNING, "attempt": attempt})
+        return attempt
 
 
 class CampaignScheduler:
@@ -126,14 +177,18 @@ class CampaignScheduler:
     # Resume
 
     def _prepare(self, selection: ShardSelection) -> _ShardRun:
-        ledger = ShardLedger(
+        # Never rotated: compaction would drop the digest history the
+        # flake ledger reads, and a shard's ledger is bounded by its
+        # unit count anyway.
+        ledger: SnapshotLedger[dict[str, Any]] = SnapshotLedger(
             self.out_dir / f"{selection.name}.ledger.jsonl",
-            shard_name=selection.name,
+            key="unit",
             fsync=self.fsync,
+            fault_context=selection.name,
         )
-        state = ledger.replay()
+        completed, interrupted, _ = replay_units(ledger)
         known = {unit.id for unit in selection.units}
-        foreign = sorted((set(state.completed) | set(state.interrupted)) - known)
+        foreign = sorted((set(completed) | set(interrupted)) - known)
         if foreign:
             raise ValueError(
                 f"{ledger.path.name} checkpoints unknown units "
@@ -142,13 +197,13 @@ class CampaignScheduler:
             )
         run = _ShardRun(selection=selection, ledger=ledger)
         for unit in selection.units:
-            done = state.completed.get(unit.id)
+            done = completed.get(unit.id)
             if done is not None:
                 run.results[unit.id] = done
                 run.attempts[unit.id] = done.attempt
                 run.resumed += 1
             else:
-                run.attempts[unit.id] = state.interrupted.get(unit.id, 0)
+                run.attempts[unit.id] = interrupted.get(unit.id, 0)
                 run.pending.append(unit)
         return run
 
@@ -178,8 +233,7 @@ class CampaignScheduler:
             if picked is None:
                 break
             run, unit, stolen = picked
-            attempt = run.next_attempt(unit)
-            run.ledger.mark_running(unit, attempt)
+            attempt = run.begin(unit)
             result = execute_unit(unit, self.spec, cache, attempt=attempt)
             self._record(run, unit, result, stolen)
             slot += 1
@@ -196,8 +250,7 @@ class CampaignScheduler:
                         break
                     free.popleft()
                     run, unit, stolen = picked
-                    attempt = run.next_attempt(unit)
-                    run.ledger.mark_running(unit, attempt)
+                    attempt = run.begin(unit)
                     future = pool.submit(
                         execute_unit_json,
                         self.spec.to_json(),
@@ -235,7 +288,9 @@ class CampaignScheduler:
     def _record(
         self, run: _ShardRun, unit: WorkUnit, result: UnitResult, stolen: bool
     ) -> None:
-        run.ledger.mark_done(result)
+        run.ledger.append(
+            {"unit": result.unit_id, "state": DONE, "result": result.to_json()}
+        )
         run.attempts[unit.id] = result.attempt
         if self.progress is not None:
             self.progress(run.name, unit.id, result)
@@ -252,7 +307,7 @@ class CampaignScheduler:
     # Shard result document
 
     def _write_shard_document(self, run: _ShardRun) -> Path:
-        flakes = run.ledger.replay().flaky_units()
+        _, _, flakes = replay_units(run.ledger)
         telemetry_units = {
             unit_id: result.telemetry
             for unit_id, result in sorted(run.results.items())
@@ -295,4 +350,4 @@ class CampaignScheduler:
         return path
 
 
-__all__ = ["CampaignScheduler"]
+__all__ = ["CampaignScheduler", "replay_units"]

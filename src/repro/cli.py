@@ -29,7 +29,6 @@ import sys
 import threading
 import time
 
-from repro.automaton import build_automaton
 from repro.core import safe_format_report, summary_to_json
 from repro.grammar import GrammarError, load_grammar_file, normalize_algorithm
 
@@ -450,12 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     except GrammarError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if cache is not None:
-        from repro.perf.cache import build_automaton_cached
+    from repro.perf.cache import build_automaton_cached
 
-        automaton = build_automaton_cached(grammar, cache, algorithm)
-    else:
-        automaton = build_automaton(grammar, algorithm)
+    automaton = build_automaton_cached(grammar, cache, algorithm)
     if args.states:
         print(automaton)
 

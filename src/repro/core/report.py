@@ -130,16 +130,7 @@ def report_to_json(report: FinderReport) -> dict[str, Any]:
             "detail": report.provenance.detail,
         }
     if report.ambiguity is not None:
-        entry["ambiguity"] = {
-            "verdict": report.ambiguity.verdict.value,
-            "witness": (
-                [str(t) for t in report.ambiguity.witness]
-                if report.ambiguity.witness is not None
-                else None
-            ),
-            "detail": report.ambiguity.detail,
-            "nodes": report.ambiguity.nodes,
-        }
+        entry["ambiguity"] = report.ambiguity.to_json()
     if report.stub is not None:
         entry["stub"] = {
             "reduce_item": str(conflict.reduce_item),

@@ -41,9 +41,11 @@ import hashlib
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
+from typing import Any
 
-from repro.analysis import ANALYSIS_VERSION, AmbiguityVerdict, ConflictAmbiguity
+from repro.analysis import ANALYSIS_VERSION, ConflictAmbiguity
 from repro.automaton.conflicts import Conflict
 from repro.automaton.lalr import LALRAutomaton
 from repro.automaton.serialize import (
@@ -119,6 +121,12 @@ class AutomatonCache:
         self.misses = 0
         self.quarantined = 0
         self.write_failures = 0
+        #: The entry text and raw ``"ambiguity"`` block (or ``None``)
+        #: behind each automaton this cache decoded or stored, so the
+        #: verdict calls neither re-read nor re-parse the entry.
+        self._entries: weakref.WeakKeyDictionary[
+            LALRAutomaton, tuple[str, Any]
+        ] = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------ #
 
@@ -233,6 +241,7 @@ class AutomatonCache:
             return None
         self.hits += 1
         metrics.count("cache.hit")
+        self._entries[automaton] = (text, document.get("ambiguity"))
         return automaton
 
     def put(self, grammar: Grammar, automaton: LALRAutomaton) -> Path:
@@ -246,6 +255,7 @@ class AutomatonCache:
         with metrics.span("cache/encode"):
             text = dump_automaton(automaton)
         self._atomic_write(path, text)
+        self._entries[automaton] = (text, None)
         return path
 
     def get_verdicts(
@@ -256,16 +266,22 @@ class AutomatonCache:
         The verdicts ride inside the cached automaton document as an
         optional ``"ambiguity"`` block — unknown to (and ignored by) the
         serialization reader, so a verdict-bearing entry stays loadable.
-        A block from a different analysis version, or one whose conflicts
-        disagree with the automaton's (hash collision, hand-edited file),
-        is a miss.
+        For an automaton this cache decoded or stored, the block comes
+        from that document; any other automaton's entry is read from
+        disk. A block from a different analysis version, or one whose
+        conflicts disagree with the automaton's (hash collision,
+        hand-edited file), is a miss.
         """
-        path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        block = document.get("ambiguity") if isinstance(document, dict) else None
+        entry = self._entries.get(automaton)
+        if entry is not None:
+            block = entry[1]
+        else:
+            path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
+            try:
+                document = json.loads(path.read_text())
+            except (OSError, ValueError):
+                return None
+            block = document.get("ambiguity") if isinstance(document, dict) else None
         if not isinstance(block, dict):
             return None
         if block.get("analysis_version") != ANALYSIS_VERSION:
@@ -277,23 +293,13 @@ class AutomatonCache:
         terminals = {t.name: t for t in automaton.grammar.terminals}
         verdicts: dict[Conflict, ConflictAmbiguity] = {}
         try:
-            for conflict, entry in zip(conflicts, entries):
+            for conflict, item in zip(conflicts, entries):
                 if (
-                    entry["state"] != conflict.state_id
-                    or entry["terminal"] != conflict.terminal.name
+                    item["state"] != conflict.state_id
+                    or item["terminal"] != conflict.terminal.name
                 ):
                     return None
-                witness = entry["witness"]
-                verdicts[conflict] = ConflictAmbiguity(
-                    verdict=AmbiguityVerdict(entry["verdict"]),
-                    witness=(
-                        tuple(terminals[name] for name in witness)
-                        if witness is not None
-                        else None
-                    ),
-                    detail=entry["detail"],
-                    nodes=entry["nodes"],
-                )
+                verdicts[conflict] = ConflictAmbiguity.from_json(item, terminals)
         except (KeyError, TypeError, ValueError):
             return None
         metrics.count("cache.verdicts.hit")
@@ -305,52 +311,49 @@ class AutomatonCache:
         automaton: LALRAutomaton,
         verdicts: dict[Conflict, ConflictAmbiguity],
     ) -> Path | None:
-        """Attach *verdicts* to the cached entry for *automaton*.
+        """Store *automaton*'s entry with *verdicts* as its ambiguity block.
 
         Requires a complete verdict map (one per reported conflict);
-        partial maps are not stored. When no cache entry exists yet the
-        automaton itself is serialized first, so verdict memoization
-        works even for runs that built the automaton uncached.
+        partial maps are not stored. The entry text is the one this
+        cache decoded or stored for *automaton*, or else the automaton
+        serialized afresh, so verdict memoization works even for runs
+        that built the automaton uncached; the file is never read back.
+        Returns ``None`` when nothing was written.
         """
         conflicts = automaton.conflicts
         if any(conflict not in verdicts for conflict in conflicts):
             return None
-        path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
-        try:
-            document = json.loads(path.read_text())
-            if not isinstance(document, dict):
-                raise ValueError("corrupt cache entry")
-        except (OSError, ValueError):
-            # Missing, corrupt, or half-replaced by a concurrent writer:
-            # re-serialize the automaton we already hold. If even the
-            # re-read fails (writes disabled), skip memoization benignly.
-            self.put(grammar, automaton)
-            try:
-                document = json.loads(path.read_text())
-                if not isinstance(document, dict):
-                    raise ValueError("corrupt cache entry")
-            except (OSError, ValueError):
-                return None
-        document["ambiguity"] = {
+        block = {
             "analysis_version": ANALYSIS_VERSION,
             "verdicts": [
                 {
                     "state": conflict.state_id,
                     "terminal": conflict.terminal.name,
-                    "verdict": verdicts[conflict].verdict.value,
-                    "witness": (
-                        [t.name for t in verdicts[conflict].witness]
-                        if verdicts[conflict].witness is not None
-                        else None
-                    ),
-                    "detail": verdicts[conflict].detail,
-                    "nodes": verdicts[conflict].nodes,
+                    **verdicts[conflict].to_json(),
                 }
                 for conflict in conflicts
             ],
         }
-        text = json.dumps(document, separators=(",", ":"))
-        self._atomic_write(path, text)
+        entry = self._entries.get(automaton)
+        if entry is not None:
+            text, previous = entry
+        else:
+            with metrics.span("cache/encode"):
+                text, previous = dump_automaton(automaton), None
+        if previous is None and text.endswith("}"):
+            # A compact entry without a block: the block goes last, where
+            # re-serializing the parsed document with it would put it.
+            block_text = json.dumps(block, separators=(",", ":"))
+            text = f'{text[:-1]},"ambiguity":{block_text}}}'
+        else:
+            document = json.loads(text)
+            document["ambiguity"] = block
+            text = json.dumps(document, separators=(",", ":"))
+        path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
+        if not self._atomic_write(path, text):
+            return None
+        if entry is not None:
+            self._entries[automaton] = (text, block)
         return path
 
     def clear(self) -> int:

@@ -22,6 +22,10 @@ The discipline:
   behind is swept on the next open (an aborted process must not leak
   ``*.rotate.tmp`` litter next to the ledger it never rotated).
 
+A subsystem's record schema is a subclass that overrides :meth:`encode`
+and :meth:`decode` (the service's job journal); a ledger of plain dicts
+(the campaign's unit checkpoints) uses the class as is.
+
 The ``journal`` fault-injection point simulates a torn write: under an
 installed :class:`~repro.robust.faults.FaultKind.TORN_WRITE` spec the
 line is persisted only up to its midpoint, exactly what a power cut
@@ -34,9 +38,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Generic, Iterable, Iterator, TypeVar, cast
 
 from repro.robust.faults import InjectedTornWrite, fire
+
+#: The record type a ledger's schema encodes to and decodes from JSON.
+R = TypeVar("R")
 
 
 @dataclass
@@ -49,7 +56,7 @@ class ReplayStats:
     errors: list[str] = field(default_factory=list)
 
 
-class SnapshotLedger:
+class SnapshotLedger(Generic[R]):
     """Append-only JSONL ledger of keyed snapshots.
 
     Args:
@@ -60,10 +67,9 @@ class SnapshotLedger:
             and an OS-buffered line lost with the power merely re-runs
             the work it recorded.
         rotate_after: Appends between automatic compactions.
-        fault_point: Fault-registry point fired before each line write
-            (torn-write chaos rides the service's ``journal`` point).
         fault_context: Context string given to the fault registry's
-            ``match`` filter, so chaos specs can target one ledger.
+            ``match`` filter on the ``journal`` point, so chaos specs
+            can target one ledger.
     """
 
     def __init__(
@@ -73,14 +79,12 @@ class SnapshotLedger:
         key: str = "id",
         fsync: bool = False,
         rotate_after: int = 512,
-        fault_point: str = "journal",
         fault_context: str | None = None,
     ) -> None:
         self.path = Path(path)
         self.key = key
         self.fsync = fsync
         self.rotate_after = rotate_after
-        self.fault_point = fault_point
         self.fault_context = fault_context
         self.appends_since_rotate = 0
         self.torn_writes = 0
@@ -114,13 +118,25 @@ class SnapshotLedger:
         return removed
 
     # ------------------------------------------------------------------ #
+    # Record schema
+
+    def encode(self, record: R) -> dict[str, Any]:
+        """The JSON snapshot of *record* (plain dicts are their own)."""
+        return cast(dict[str, Any], record)
+
+    def decode(self, snapshot: dict[str, Any]) -> R:
+        """The record a replayed *snapshot* holds; raising makes it torn."""
+        return cast(R, snapshot)
+
+    # ------------------------------------------------------------------ #
     # Writing
 
-    def append(self, snapshot: Mapping[str, Any]) -> None:
-        """Durably append one *snapshot* (must carry the key field)."""
+    def append(self, record: R) -> None:
+        """Durably append one snapshot of *record* (must carry the key)."""
+        snapshot = self.encode(record)
         if self.key not in snapshot:
             raise ValueError(f"snapshot is missing its {self.key!r} key")
-        line = json.dumps(dict(snapshot), separators=(",", ":"))
+        line = json.dumps(snapshot, separators=(",", ":"))
         self._write_line(line)
         self.appends_since_rotate += 1
 
@@ -130,7 +146,7 @@ class SnapshotLedger:
             if healed:
                 handle.write("\n")
             try:
-                fire(self.fault_point, self.fault_context)
+                fire("journal", self.fault_context)
                 handle.write(line + "\n")
             except InjectedTornWrite:
                 # Simulate a crash mid-write: persist only a prefix, no
@@ -157,17 +173,12 @@ class SnapshotLedger:
     # ------------------------------------------------------------------ #
     # Reading
 
-    def snapshots(
-        self,
-        decode: Callable[[dict[str, Any]], Any] | None = None,
-        stats: ReplayStats | None = None,
-    ) -> Iterator[tuple[str, Any]]:
-        """Every intact snapshot as ``(key, snapshot)``, in append order.
+    def snapshots(self, stats: ReplayStats | None = None) -> Iterator[tuple[str, R]]:
+        """Every intact record as ``(key, record)``, in append order.
 
-        *decode* optionally maps each raw snapshot dict to a richer
-        object. A line that is not JSON, lacks the key field, or fails
-        *decode* (``ValueError``/``KeyError``/``TypeError``) is torn: it
-        is counted in *stats* and skipped.
+        A line that is not JSON, lacks the key field, or fails
+        :meth:`decode` (``ValueError``/``KeyError``/``TypeError``) is
+        torn: it is counted in *stats* and skipped.
         """
         stats = stats if stats is not None else ReplayStats()
         try:
@@ -184,33 +195,31 @@ class SnapshotLedger:
                 data = json.loads(raw)
                 if not isinstance(data, dict) or self.key not in data:
                     raise ValueError(f"snapshot without a {self.key!r} key")
-                value = decode(data) if decode is not None else data
+                record = self.decode(data)
             except (ValueError, KeyError, TypeError) as error:
                 stats.torn += 1
                 stats.errors.append(f"line {index + 1}: {error}")
                 continue
             stats.applied += 1
-            yield str(data[self.key]), value
+            yield str(data[self.key]), record
 
-    def replay(
-        self, decode: Callable[[dict[str, Any]], Any] | None = None
-    ) -> tuple[dict[str, Any], ReplayStats]:
-        """Fold :meth:`snapshots` into the latest snapshot per key."""
+    def replay(self) -> tuple[dict[str, R], ReplayStats]:
+        """Fold :meth:`snapshots` into the latest record per key."""
         stats = ReplayStats()
-        return dict(self.snapshots(decode, stats)), stats
+        return dict(self.snapshots(stats)), stats
 
     # ------------------------------------------------------------------ #
     # Rotation
 
-    def maybe_rotate(self, snapshots: Iterable[Mapping[str, Any]]) -> bool:
+    def maybe_rotate(self, records: Iterable[R]) -> bool:
         """Compact once enough appends have accumulated."""
         if self.appends_since_rotate < self.rotate_after:
             return False
-        self.rotate(snapshots)
+        self.rotate(records)
         return True
 
-    def rotate(self, snapshots: Iterable[Mapping[str, Any]]) -> None:
-        """Atomically rewrite the ledger as the given snapshots, in order.
+    def rotate(self, records: Iterable[R]) -> None:
+        """Atomically rewrite the ledger as the given records, in order.
 
         The rewrite goes through a temp file + ``os.replace``, so a
         crash mid-rotation preserves the previous ledger byte-for-byte
@@ -218,9 +227,9 @@ class SnapshotLedger:
         """
         tmp = self._rotate_tmp()
         with open(tmp, "w", encoding="utf-8") as handle:
-            for snapshot in snapshots:
+            for record in records:
                 handle.write(
-                    json.dumps(dict(snapshot), separators=(",", ":")) + "\n"
+                    json.dumps(self.encode(record), separators=(",", ":")) + "\n"
                 )
             handle.flush()
             os.fsync(handle.fileno())

@@ -19,7 +19,7 @@ from repro.service.admission import (
 )
 from repro.service.app import AnalysisService, ServiceConfig, serve_main
 from repro.service.breaker import BreakerBoard, BreakerState, CircuitBreaker
-from repro.service.journal import JobJournal, ReplayStats, resumable
+from repro.service.journal import JobJournal, resumable
 from repro.service.protocol import (
     AnalyzeOptions,
     AnalyzeRequest,
@@ -53,7 +53,6 @@ __all__ = [
     "JobState",
     "ProtocolError",
     "Rejected",
-    "ReplayStats",
     "ServiceConfig",
     "Shed",
     "SupervisorConfig",

@@ -39,6 +39,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.perf.metrics import MetricsCollector
 from repro.robust.budget import CancellationToken
 from repro.robust.faults import install_from_env, registry
+from repro.robust.ledger import ReplayStats
 from repro.service.admission import (
     Admitted,
     AdmissionConfig,
@@ -48,7 +49,7 @@ from repro.service.admission import (
     Shed,
 )
 from repro.service.breaker import BreakerBoard
-from repro.service.journal import JobJournal, ReplayStats, resumable
+from repro.service.journal import JobJournal, resumable
 from repro.service.protocol import (
     AnalyzeRequest,
     JobRecord,

@@ -1,10 +1,10 @@
-"""Crash-safe, append-only job journal (JSONL with atomic rotation).
+"""The job journal: the service's record schema on the snapshot ledger.
 
 The storage discipline — full snapshots, idempotent left-to-right
 replay, torn-final-line skip + heal, atomic temp+fsync+``os.replace``
-rotation, stale-rotation-temp sweep on open — lives in the generic
-:class:`repro.robust.ledger.SnapshotLedger`; this module keeps only the
-job-shaped policy on top of it:
+rotation, stale-rotation-temp sweep on open, the ``journal`` torn-write
+fault point — lives in :class:`repro.robust.ledger.SnapshotLedger`;
+this module keeps only the job-shaped policy on top of it:
 
 * snapshots are :class:`~repro.service.protocol.JobRecord` documents,
   re-validated on replay (a line that parses as JSON but not as a job
@@ -12,25 +12,19 @@ job-shaped policy on top of it:
 * rotation retains live jobs always and terminal jobs up to
   ``keep_terminal`` (newest first), ordered by creation time;
 * :func:`resumable` names the jobs a restarted service must re-enqueue.
-
-The ``journal`` fault-injection point simulates a torn write: under an
-installed :class:`~repro.robust.faults.FaultKind.TORN_WRITE` spec the
-line is persisted only up to its midpoint, exactly what a power cut
-mid-``write(2)`` leaves behind.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Any, Iterable
 
-from repro.robust.ledger import ReplayStats, SnapshotLedger
+from repro.robust.ledger import SnapshotLedger
 from repro.service.protocol import JobRecord, JobState
 
 
-class JobJournal:
-    """Append-only JSONL journal of job snapshots.
+class JobJournal(SnapshotLedger[JobRecord]):
+    """Append-only JSONL journal of job snapshots, keyed by job id.
 
     Args:
         path: Journal file location (parent directories are created).
@@ -51,46 +45,20 @@ class JobJournal:
         rotate_after: int = 512,
         keep_terminal: int = 256,
     ) -> None:
-        self._ledger = SnapshotLedger(
-            path, key="id", fsync=fsync, rotate_after=rotate_after
-        )
+        super().__init__(path, key="id", fsync=fsync, rotate_after=rotate_after)
         self.keep_terminal = keep_terminal
 
-    @property
-    def path(self) -> Path:
-        return self._ledger.path
+    def encode(self, record: JobRecord) -> dict[str, Any]:
+        return record.to_json()
 
-    # ------------------------------------------------------------------ #
-    # Writing
-
-    def append(self, record: JobRecord) -> None:
-        """Durably append one snapshot of *record*."""
-        self._ledger.append(record.to_json())
-
-    # ------------------------------------------------------------------ #
-    # Reading
-
-    def replay(self) -> tuple[dict[str, JobRecord], ReplayStats]:
-        """Fold the journal into the latest snapshot per job id."""
-        return self._ledger.replay(decode=JobRecord.from_json)
-
-    # ------------------------------------------------------------------ #
-    # Rotation
-
-    def maybe_rotate(self, records: Iterable[JobRecord]) -> bool:
-        """Compact once enough appends have accumulated."""
-        if self._ledger.appends_since_rotate < self._ledger.rotate_after:
-            return False
-        self.rotate(records)
-        return True
+    def decode(self, snapshot: dict[str, Any]) -> JobRecord:
+        return JobRecord.from_json(snapshot)
 
     def rotate(self, records: Iterable[JobRecord]) -> None:
         """Atomically rewrite the journal as one snapshot per job.
 
         Live (non-terminal) jobs are always retained; terminal jobs are
-        capped at ``keep_terminal``, newest ``updated_at`` first. The
-        rewrite goes through a temp file + ``os.replace``, so a crash
-        mid-rotation preserves the previous journal byte-for-byte.
+        capped at ``keep_terminal``, newest ``updated_at`` first.
         """
         live: list[JobRecord] = []
         terminal: list[JobRecord] = []
@@ -99,12 +67,7 @@ class JobJournal:
         terminal.sort(key=lambda record: record.updated_at, reverse=True)
         retained = live + terminal[: self.keep_terminal]
         retained.sort(key=lambda record: record.created_at)
-        self._ledger.rotate(record.to_json() for record in retained)
-
-    # ------------------------------------------------------------------ #
-
-    def info(self) -> dict[str, Any]:
-        return self._ledger.info()
+        super().rotate(retained)
 
 
 def resumable(records: dict[str, JobRecord]) -> list[JobRecord]:
@@ -125,4 +88,4 @@ def resumable(records: dict[str, JobRecord]) -> list[JobRecord]:
     return pending
 
 
-__all__ = ["JobJournal", "ReplayStats", "resumable"]
+__all__ = ["JobJournal", "resumable"]

@@ -22,7 +22,6 @@ from repro.cli import main
 from repro.core import CounterexampleFinder
 from repro.corpus import all_specs, load
 from repro.lint import LintContext
-from repro.robust.budget import Budget
 from repro.verify import validate_ambiguity_witness
 
 
@@ -125,15 +124,6 @@ class TestBudgets:
             v.verdict is AmbiguityVerdict.INCONCLUSIVE
             for v in verdicts.values()
         )
-
-    def test_shared_budget_spends_across_conflicts(self):
-        # One external budget covers the whole analysis: once spent,
-        # later conflicts go inconclusive instead of restarting fresh.
-        automaton = build_lalr(load("nonlalr01"))
-        budget = Budget(max_nodes=3, stage="ambiguity")
-        verdicts = analyze_conflicts(automaton, budget=budget)
-        values = [v.verdict for v in verdicts.values()]
-        assert AmbiguityVerdict.INCONCLUSIVE in values
 
     def test_default_budget_constant_used(self):
         automaton = build_lalr(load("nonlalr01"))

@@ -63,8 +63,8 @@ class TestScheduling:
         run2 = scheduler._prepare(scheduler_module.select_shard(SPEC, (2, 2)))
         while run2.pending:
             unit = run2.pending.popleft()
-            run2.ledger.mark_running(unit, 1)
-            run2.ledger.mark_done(_stub_execute(unit, SPEC))
+            result = _stub_execute(unit, SPEC, attempt=run2.begin(unit))
+            scheduler._record(run2, unit, result, False)
         paths = scheduler.run_local(2)
         documents = {
             json.loads(p.read_text())["shard"][0]: json.loads(p.read_text())

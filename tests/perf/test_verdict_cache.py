@@ -4,7 +4,9 @@
 writes the verdict block when the context holds a cache.
 """
 
+import contextlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ import repro.analysis as analysis_module
 import repro.perf.cache as cache_module
 from repro.analysis import ANALYSIS_VERSION, AmbiguityVerdict, analyze_conflicts
 from repro.automaton import build_lalr
-from repro.automaton.serialize import load_automaton
+from repro.automaton.serialize import dump_automaton, load_automaton
 from repro.corpus import load
 from repro.lint import LintContext
 from repro.perf import metrics
@@ -136,3 +138,70 @@ class TestFormatCompatibility:
         fingerprint = grammar_fingerprint(genuine)
         assert f"a{payload_version}" not in fingerprint  # key is hashed
         assert len(fingerprint) == len(grammar_fingerprint(load("nonlalr01")))
+
+
+
+@contextlib.contextmanager
+def counting_entry_reads(monkeypatch):
+    """Count cache-entry ``read_text`` calls and ``json.loads`` parses."""
+    seen = {"read_text": 0, "loads": 0}
+    read_text, loads = Path.read_text, json.loads
+
+    def counting_read(self, *args, **kwargs):
+        if self.suffix == ".json":
+            seen["read_text"] += 1
+        return read_text(self, *args, **kwargs)
+
+    def counting_loads(*args, **kwargs):
+        seen["loads"] += 1
+        return loads(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_text", counting_read)
+        patch.setattr(json, "loads", counting_loads)
+        yield seen
+
+
+class TestEntryReads:
+    """The verdict block rides on the document ``get``/``put`` hold."""
+
+    def test_warm_verdicts_come_from_the_decoded_document(
+        self, cache, genuine, monkeypatch
+    ):
+        cold = LintContext(genuine, cache=cache).ambiguity_verdicts
+        automaton = cache.get(genuine)
+        assert automaton is not None
+        with counting_entry_reads(monkeypatch) as seen:
+            context = LintContext(genuine, automaton=automaton, cache=cache)
+            warm = context.ambiguity_verdicts
+        assert warm == cold
+        assert seen == {"read_text": 0, "loads": 0}
+
+    def test_cold_verdicts_are_written_without_reading_back(
+        self, cache, genuine, monkeypatch
+    ):
+        automaton = cache_module.build_automaton_cached(genuine, cache, "lalr")
+        with counting_entry_reads(monkeypatch) as seen:
+            verdicts = LintContext(
+                genuine, automaton=automaton, cache=cache
+            ).ambiguity_verdicts
+        assert seen == {"read_text": 0, "loads": 0}
+        # The bytes are the entry re-serialized with the block last.
+        (conflict,) = automaton.conflicts
+        verdict = verdicts[conflict]
+        document = json.loads(dump_automaton(automaton))
+        document["ambiguity"] = {
+            "analysis_version": ANALYSIS_VERSION,
+            "verdicts": [
+                {
+                    "state": conflict.state_id,
+                    "terminal": conflict.terminal.name,
+                    "verdict": verdict.verdict.value,
+                    "witness": [t.name for t in verdict.witness],
+                    "detail": verdict.detail,
+                    "nodes": verdict.nodes,
+                }
+            ],
+        }
+        path = cache._path_for(grammar_fingerprint(genuine))
+        assert path.read_text() == json.dumps(document, separators=(",", ":"))

@@ -2,19 +2,24 @@
 
 The automaton's hot paths run the lookahead fixpoint over int bitmasks
 (:func:`compute_lalr_lookahead_masks`); the original ``frozenset``
-formulation (:func:`compute_lalr_lookaheads`) is kept as a reference
-oracle. These tests fuzz small grammars and assert the two agree on
+formulation (``tests/automaton/lalr_reference.py``) is kept as a
+reference oracle. These tests fuzz small grammars and assert the two agree on
 every ``(state, item)`` key — as sets, under membership, under union,
 and in the name-sorted iteration order the report renderer depends on.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.automaton import build_lalr
-from repro.automaton.lalr import compute_lalr_lookaheads
 from repro.grammar import END_OF_INPUT, GrammarBuilder, Terminal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "automaton"))
+from lalr_reference import compute_lalr_lookaheads  # noqa: E402
 
 NONTERMINALS = ["n0", "n1", "n2"]
 TERMINALS = ["a", "b", "c"]

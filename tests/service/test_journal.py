@@ -1,12 +1,20 @@
-"""Journal crash-safety: torn writes, replay, rotation, resume."""
+"""Journal crash-safety: torn writes, replay, rotation, resume.
+
+The fixture under ``fixtures/`` was written by the previous journal
+wrapper; it must keep replaying to the same job records.
+"""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.robust.faults import FaultKind, FaultSpec, inject_faults
 from repro.service.journal import JobJournal, resumable
 from repro.service.protocol import AnalyzeRequest, JobRecord, JobState
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _job(name: str = "g", grammar: str = "%start S\nS : 'a' ;") -> JobRecord:
@@ -165,3 +173,28 @@ class TestResume:
             )
         }
         assert resumable(records) == []
+
+
+class TestOnDiskFormat:
+    def test_lines_are_compact_job_snapshots(self, tmp_path):
+        journal = JobJournal(tmp_path / "j.jsonl")
+        job = _job()
+        journal.append(job)
+        assert journal.path.read_text() == (
+            json.dumps(job.to_json(), separators=(",", ":")) + "\n"
+        )
+
+    def test_previous_format_replays_to_the_same_records(self):
+        # A completed job, one running when killed, and a queued one
+        # whose running snapshot was torn mid-write.
+        expected = json.loads((FIXTURES / "journal.expected.json").read_text())
+        records, stats = JobJournal(FIXTURES / "journal.jsonl").replay()
+        assert {
+            job_id: record.to_json() for job_id, record in records.items()
+        } == expected["records"]
+        assert [record.id for record in resumable(records)] == expected["resumable"]
+        assert {
+            "lines": stats.lines,
+            "applied": stats.applied,
+            "torn": stats.torn,
+        } == expected["replay"]
