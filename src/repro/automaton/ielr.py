@@ -346,6 +346,8 @@ def _quotient(grammar: Grammar, algorithm: str, lr1: LR1Automaton) -> IELRAutoma
     states: list[IELRState] = []
     representative: list[int] = []  # quotient id -> a canonical member id
 
+    starts: dict[int, Item] = {}
+
     def intern(class_id: int) -> tuple[IELRState, bool]:
         quotient_id = state_ids.get(class_id)
         if quotient_id is not None:
@@ -355,7 +357,7 @@ def _quotient(grammar: Grammar, algorithm: str, lr1: LR1Automaton) -> IELRAutoma
         member = lr1.states[members[0]]
         kernel = frozenset(item for item, _ in member.kernel)
         state = IELRState(
-            id=len(states), kernel=kernel, items=closure(grammar, kernel)
+            id=len(states), kernel=kernel, items=closure(grammar, kernel, starts)
         )
         state.members = tuple(members)
         state_ids[class_id] = state.id

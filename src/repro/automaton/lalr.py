@@ -28,7 +28,6 @@ from repro.grammar import (
     END_OF_INPUT,
     Grammar,
     GrammarAnalysis,
-    Nonterminal,
     Production,
     Terminal,
 )
@@ -41,57 +40,99 @@ def compute_lalr_lookahead_masks(
 ) -> dict[tuple[int, Item], int]:
     """LALR(1) lookaheads as int bitmasks over *table*.
 
-    The per-key value is a bitmask, so the fixpoint's union and
-    changed-ness checks are single int operations instead of per-element
-    set work. The property tests check it against a ``frozenset``
-    formulation of the same channels, key by key.
+    The channels form a propagation graph over the automaton's dense
+    ``(state, item)`` ids (:class:`~repro.automaton.index.StateItemIndex`):
+    an edge ``u -> v`` says ``v``'s lookahead includes ``u``'s, and each
+    id starts from its spontaneous terminals. The least solution is, for
+    every id, the union of the starting masks of all ids that reach it —
+    DeRemer and Pennello's *digraph* problem ("Efficient Computation of
+    LALR(1) Look-Ahead Sets", TOPLAS 1982). Their traversal collapses
+    each strongly connected component onto its root and unions masks in
+    one depth-first pass, where a worklist re-propagates a mask every
+    time it grows. The property tests check the result against a
+    ``frozenset`` worklist over the same channels, key by key.
     """
-    masks: dict[tuple[int, Item], int] = {
-        (state.id, item): 0 for state in automaton.states for item in state.items
-    }
-    propagate: dict[tuple[int, Item], list[tuple[int, Item]]] = {
-        key: [] for key in masks
-    }
-
-    start_key = (0, automaton.start_state.items[0])
-    masks[start_key] = table.bit_of(END_OF_INPUT)
-
+    index = automaton.index
+    size = len(index)
+    next_symbol = index.next_symbol
+    item_number = index.item_number
+    item_of = index.item_of
+    transition = index.transition
+    production_steps = index.production_steps
     mask_of = table.mask_of
-    for state in automaton.states:
-        state_id = state.id
-        transitions = state.transitions
-        for item in state.items:
-            key = (state_id, item)
-            symbol = item.next_symbol
-            if symbol is None:
-                continue
-            propagate[key].append((transitions[symbol].id, item.advance()))
-            if symbol.is_nonterminal:
-                assert isinstance(symbol, Nonterminal)
-                beta = item.production.rhs[item.dot + 1 :]
-                spontaneous, beta_nullable = analysis.first_of_sequence_ex(beta)
-                spontaneous_mask = mask_of(spontaneous)
-                for production in automaton.grammar.productions_of(symbol):
-                    closure_key = (state_id, Item(production, 0))
-                    masks[closure_key] |= spontaneous_mask
-                    if beta_nullable:
-                        propagate[key].append(closure_key)
 
-    worklist: list[tuple[int, Item]] = [key for key, mask in masks.items() if mask]
-    in_worklist = set(worklist)
-    while worklist:
-        key = worklist.pop()
-        in_worklist.discard(key)
-        source = masks[key]
-        for target in propagate[key]:
-            combined = masks[target] | source
-            if combined != masks[target]:
-                masks[target] = combined
-                if target not in in_worklist:
-                    worklist.append(target)
-                    in_worklist.add(target)
+    masks = [0] * size
+    # Id 0 is state 0's first item, ``START' -> . S $``.
+    masks[0] = table.bit_of(END_OF_INPUT)
+    #: reads[v]: the ids whose lookahead flows into v.
+    reads: list[list[int]] = [[] for _ in range(size)]
+    #: item number -> (FIRST(β) mask, β nullable) for ``A -> α . B β``
+    closure_parts: dict[int, tuple[int, bool]] = {}
+    for node in range(size):
+        symbol = next_symbol[node]
+        if symbol is None:
+            continue
+        reads[transition(node)].append(node)
+        if symbol.is_nonterminal:
+            number = item_number[node]
+            parts = closure_parts.get(number)
+            if parts is None:
+                item = item_of[node]
+                first, nullable = analysis.first_of_sequence_ex(
+                    item.production.rhs[item.dot + 1 :]
+                )
+                parts = closure_parts[number] = (mask_of(first), nullable)
+            spontaneous, nullable = parts
+            for step in production_steps(node):
+                masks[step] |= spontaneous
+                if nullable:
+                    reads[step].append(node)
 
-    return masks
+    # Iterative DeRemer-Pennello traversal. depth[x] is 0 before x is
+    # visited, its stack depth while its component is open, and `done`
+    # once the component is closed and every member holds the union.
+    done = size + 1
+    depth = [0] * size
+    stack: list[int] = []
+    for root in range(size):
+        if depth[root]:
+            continue
+        stack.append(root)
+        depth[root] = len(stack)
+        call_nodes = [root]
+        call_depths = [len(stack)]
+        call_reads = [iter(reads[root])]
+        while call_nodes:
+            node = call_nodes[-1]
+            for source in call_reads[-1]:
+                if not depth[source]:
+                    stack.append(source)
+                    depth[source] = len(stack)
+                    call_nodes.append(source)
+                    call_depths.append(len(stack))
+                    call_reads.append(iter(reads[source]))
+                    break
+                if depth[source] < depth[node]:
+                    depth[node] = depth[source]
+                masks[node] |= masks[source]
+            else:
+                call_nodes.pop()
+                call_reads.pop()
+                if depth[node] == call_depths.pop():
+                    mask = masks[node]
+                    while True:
+                        member = stack.pop()
+                        depth[member] = done
+                        masks[member] = mask
+                        if member == node:
+                            break
+                if call_nodes:
+                    caller = call_nodes[-1]
+                    if depth[node] < depth[caller]:
+                        depth[caller] = depth[node]
+                    masks[caller] |= masks[node]
+
+    return dict(zip(zip(index.state_of, index.item_of), masks))
 
 
 class LALRAutomaton:
@@ -172,6 +213,24 @@ class LALRAutomaton:
         """The LALR(1) lookahead set of *item* within *state*."""
         state_id = state if isinstance(state, int) else state.id
         return self.lookaheads[(state_id, item)]
+
+    @cached_property
+    def masks_by_id(self) -> list[int]:
+        """:attr:`lookahead_masks` as a list indexed by ``lr0.index`` id.
+
+        Every builder and the cache decoder fill the dict state by state
+        in ``state.items`` order, which is id order; the keys are
+        checked by identity and looked up only if that ever fails.
+        """
+        index = self.lr0.index
+        masks = self.lookahead_masks
+        keys = list(masks)
+        if len(keys) == len(index) and all(
+            key[0] == state_id and key[1] is item
+            for key, state_id, item in zip(keys, index.state_of, index.item_of)
+        ):
+            return list(masks.values())
+        return [masks[pair] for pair in zip(index.state_of, index.item_of)]
 
     def lookahead_mask(self, state_id: int, item: Item) -> int:
         """The lookahead of ``(state_id, item)`` as a raw int bitmask."""

@@ -11,16 +11,17 @@ not normally answer:
 * which states can reach a given conflict item at all (used to prune the
   shortest lookahead-sensitive path search).
 
-:class:`ReverseLookups` materialises these tables once per automaton,
-before the first conflict is processed, exactly as the implementation
-described in the paper does.
+:class:`ReverseLookups` answers them from the reverse edges of the
+automaton's :class:`~repro.automaton.index.StateItemIndex`, which are
+built on first use.
 
-The per-target ``reaching_pairs`` results are memoised in a *bounded*
-LRU cache (``max_cache_entries``, default 128): each entry can hold a
-large fraction of the automaton's ``(state, item)`` pairs, so an
-unbounded cache on a long-lived automaton — a corpus sweep, a fuzz
-campaign re-using one table — grows with every distinct conflict item
-ever queried. Hits, misses, and evictions are tracked on the instance
+A reaching set is a ``bytearray`` over the index's ids (1 = the pair can
+reach the target). The per-target sets are memoised in a *bounded* LRU
+cache of :data:`REACHING_CACHE_ENTRIES` entries: each holds one byte per
+``(state, item)`` pair of the automaton, so an unbounded cache on a
+long-lived automaton — a corpus sweep, a fuzz campaign re-using one
+table — grows with every distinct conflict item ever queried. Hits,
+misses, and evictions are tracked on the instance
 (:meth:`ReverseLookups.cache_info`) and mirrored to the metrics layer
 (``lookups.reaching.*``) when profiling is active.
 """
@@ -28,40 +29,31 @@ ever queried. Hits, misses, and evictions are tracked on the instance
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cached_property
 
 from repro.automaton.items import Item
 from repro.automaton.lr0 import LR0State
 from repro.perf import metrics
-from repro.grammar import Nonterminal
+
+#: How many reaching sets one :class:`ReverseLookups` keeps.
+REACHING_CACHE_ENTRIES = 128
 
 
 class ReverseLookups:
-    """Precomputed reverse transition / reverse production-step tables."""
+    """Reverse transition / reverse production-step queries and reaching sets."""
 
-    def __init__(self, automaton, max_cache_entries: int = 128) -> None:
-        if max_cache_entries < 1:
-            raise ValueError("max_cache_entries must be positive")
+    def __init__(self, automaton) -> None:
         self._automaton = automaton
-        self.max_cache_entries = max_cache_entries
-        #: (state_id, nonterminal) -> items ``A -> α . B β`` of that state.
-        self.production_parents: dict[tuple[int, Nonterminal], list[Item]] = {}
-        #: state_id -> items of the state, as a set for membership tests.
-        self.item_sets: dict[int, frozenset[Item]] = {}
-        self._reaching_cache: OrderedDict[
-            tuple[int, Item], frozenset[tuple[int, Item]]
-        ] = OrderedDict()
+        self._index = automaton.lr0.index
+        self._reaching_cache: OrderedDict[int, bytearray] = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
-        for state in automaton.states:
-            self.item_sets[state.id] = frozenset(state.items)
-            for item in state.items:
-                symbol = item.next_symbol
-                if symbol is not None and symbol.is_nonterminal:
-                    assert isinstance(symbol, Nonterminal)
-                    self.production_parents.setdefault(
-                        (state.id, symbol), []
-                    ).append(item)
+
+    @cached_property
+    def item_sets(self) -> dict[int, frozenset[Item]]:
+        """state_id -> items of the state, as a set for membership tests."""
+        return {state.id: frozenset(state.items) for state in self._automaton.states}
 
     # ------------------------------------------------------------------ #
 
@@ -74,18 +66,15 @@ class ReverseLookups:
         retreated item in every state with a matching transition into
         *state*.
         """
-        symbol = item.previous_symbol
-        if symbol is None:
-            return []
-        retreated = item.retreat()
-        lr0 = self._automaton.lr0
-        states = lr0.states
-        item_sets = self.item_sets
-        result: list[tuple[LR0State, Item]] = []
-        for pred_id in lr0.arrays.predecessor_ids(state.id, symbol):
-            if retreated in item_sets[pred_id]:
-                result.append((states[pred_id], retreated))
-        return result
+        index = self._index
+        states = self._automaton.states
+        item_of = index.item_of
+        predecessors, retreats = index.reverse_transitions(index.id_of(state.id, item))
+        return [
+            (states[pred_id], item_of[retreat])
+            for pred_id, retreat in zip(predecessors, retreats)
+            if retreat >= 0
+        ]
 
     def reverse_production_steps(self, state: LR0State, item: Item) -> list[Item]:
         """Items of *state* that can take a production step into *item*.
@@ -94,65 +83,73 @@ class ReverseLookups:
         steps; the result is every item ``A -> α . B β`` of *state* where
         ``B`` is *item*'s left-hand side.
         """
-        if not item.at_start:
-            return []
-        lhs = item.production.lhs
-        assert isinstance(lhs, Nonterminal)
-        return self.production_parents.get((state.id, lhs), [])
+        index = self._index
+        item_of = index.item_of
+        return [
+            item_of[parent]
+            for parent in index.production_parents(index.id_of(state.id, item))
+        ]
 
     # ------------------------------------------------------------------ #
 
-    def reaching_pairs(
-        self, state: LR0State, item: Item
-    ) -> frozenset[tuple[int, Item]]:
-        """All ``(state id, item)`` pairs that can reach ``(state, item)``.
+    def reaching(self, target: int) -> bytearray:
+        """The ids that can reach id *target*, as a 0/1 ``bytearray``.
 
         Walks reverse transitions and reverse production steps from the
-        target pair. The result bounds the shortest lookahead-sensitive
-        path search (§6 "Finding shortest lookahead-sensitive path") —
-        any path vertex must be one of these pairs. Results are cached
-        per target pair in a bounded LRU (see the module docstring).
+        target. The result bounds the shortest lookahead-sensitive path
+        search (§6 "Finding shortest lookahead-sensitive path") — any
+        path vertex must be one of these pairs. Results are cached per
+        target in a bounded LRU (see the module docstring).
         """
-        cache_key = (state.id, item)
-        cached = self._reaching_cache.get(cache_key)
+        cache = self._reaching_cache
+        cached = cache.get(target)
         if cached is not None:
-            self._reaching_cache.move_to_end(cache_key)
+            cache.move_to_end(target)
             self._cache_hits += 1
             metrics.count("lookups.reaching.hit")
             return cached
         self._cache_misses += 1
         metrics.count("lookups.reaching.miss")
-        seen: set[tuple[int, Item]] = {cache_key}
-        frontier: list[tuple[LR0State, Item]] = [(state, item)]
+        index = self._index
+        at_start = index.at_start
+        parents_of = index.production_parents
+        reverse_of = index.reverse_transitions
+        seen = bytearray(len(index))
+        seen[target] = 1
+        frontier = [target]
         while frontier:
-            current_state, current_item = frontier.pop()
-            for pred_state, pred_item in self.reverse_transitions(
-                current_state, current_item
-            ):
-                key = (pred_state.id, pred_item)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((pred_state, pred_item))
-            for parent_item in self.reverse_production_steps(
-                current_state, current_item
-            ):
-                key = (current_state.id, parent_item)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((current_state, parent_item))
-        result = frozenset(seen)
-        self._reaching_cache[cache_key] = result
-        if len(self._reaching_cache) > self.max_cache_entries:
-            self._reaching_cache.popitem(last=False)
+            node = frontier.pop()
+            if at_start[node]:
+                sources = parents_of(node)
+            else:
+                sources = reverse_of(node)[1]
+            for source in sources:
+                if source >= 0 and not seen[source]:
+                    seen[source] = 1
+                    frontier.append(source)
+        cache[target] = seen
+        if len(cache) > REACHING_CACHE_ENTRIES:
+            cache.popitem(last=False)
             self._cache_evictions += 1
             metrics.count("lookups.reaching.evicted")
-        return result
+        return seen
+
+    def reaching_pairs(
+        self, state: LR0State, item: Item
+    ) -> frozenset[tuple[int, Item]]:
+        """All ``(state id, item)`` pairs that can reach ``(state, item)``."""
+        index = self._index
+        seen = self.reaching(index.id_of(state.id, item))
+        return frozenset(
+            index.pair(node) for node in range(len(seen)) if seen[node]
+        )
 
     def states_reaching(self, state: LR0State, item: Item) -> frozenset[int]:
         """IDs of states that can reach ``(state, item)`` going backward."""
-        return frozenset(
-            state_id for state_id, _ in self.reaching_pairs(state, item)
-        )
+        index = self._index
+        seen = self.reaching(index.id_of(state.id, item))
+        state_of = index.state_of
+        return frozenset(state_of[node] for node in range(len(seen)) if seen[node])
 
     # ------------------------------------------------------------------ #
 
@@ -160,12 +157,12 @@ class ReverseLookups:
         """Hit/miss/eviction counters and current size of the LRU cache."""
         return {
             "entries": len(self._reaching_cache),
-            "max_entries": self.max_cache_entries,
+            "max_entries": REACHING_CACHE_ENTRIES,
             "hits": self._cache_hits,
             "misses": self._cache_misses,
             "evictions": self._cache_evictions,
         }
 
     def clear_reaching_cache(self) -> None:
-        """Drop every memoised ``reaching_pairs`` result (counters kept)."""
+        """Drop every memoised reaching set (counters kept)."""
         self._reaching_cache.clear()

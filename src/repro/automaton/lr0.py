@@ -11,10 +11,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.automaton.items import Item, start_item
 from repro.grammar import Grammar, Nonterminal, Symbol
+
+if TYPE_CHECKING:
+    from repro.automaton.index import StateItemIndex
 
 
 @dataclass
@@ -55,8 +58,19 @@ class LR0State:
         return (item for item in self.items if item.at_end)
 
 
-def closure(grammar: Grammar, kernel: frozenset[Item]) -> tuple[Item, ...]:
-    """The LR(0) closure of *kernel*, kernel items first, deterministic order."""
+def closure(
+    grammar: Grammar,
+    kernel: frozenset[Item],
+    starts: dict[int, Item] | None = None,
+) -> tuple[Item, ...]:
+    """The LR(0) closure of *kernel*, kernel items first, deterministic order.
+
+    *starts* (production index -> dot-0 item) lets a builder share one
+    dot-0 item per production across all its states; the items advanced
+    from it are then shared too, through :meth:`Item.advance`'s cache.
+    """
+    if starts is None:
+        starts = {}
     ordered: list[Item] = sorted(
         kernel, key=lambda item: (item.production.index, item.dot)
     )
@@ -70,7 +84,9 @@ def closure(grammar: Grammar, kernel: frozenset[Item]) -> tuple[Item, ...]:
             continue
         assert isinstance(symbol, Nonterminal)
         for production in grammar.productions_of(symbol):
-            fresh = start_item(production)
+            fresh = starts.get(production.index)
+            if fresh is None:
+                fresh = starts[production.index] = start_item(production)
             if fresh not in seen:
                 seen.add(fresh)
                 ordered.append(fresh)
@@ -183,6 +199,7 @@ class LR0Automaton:
         self.grammar = grammar
         self.states: list[LR0State] = []
         self._by_kernel: dict[frozenset[Item], LR0State] = {}
+        self._starts: dict[int, Item] = {}
         #: Reverse transition graph: predecessors[s.id][X] = states with an
         #: X-transition into s. Needed by the paper's reverse searches (§6).
         self.predecessors: dict[int, dict[Symbol, list[LR0State]]] = {}
@@ -199,7 +216,7 @@ class LR0Automaton:
         if state is not None:
             return state, False
         state = LR0State(id=len(self.states), kernel=kernel)
-        state.items = closure(self.grammar, kernel)
+        state.items = closure(self.grammar, kernel, self._starts)
         self.states.append(state)
         self._by_kernel[kernel] = state
         return state, True
@@ -234,6 +251,13 @@ class LR0Automaton:
         ``__new__`` and most cached consumers never touch the arrays.
         """
         return AdjacencyArrays(self.states, self.predecessors)
+
+    @cached_property
+    def index(self) -> "StateItemIndex":
+        """Dense ids for the ``(state, item)`` pairs (built on first use)."""
+        from repro.automaton.index import StateItemIndex
+
+        return StateItemIndex(self)
 
     def goto(self, state: LR0State, symbol: Symbol) -> LR0State | None:
         """The successor of *state* on *symbol*, or ``None``."""

@@ -2,9 +2,11 @@
 
 A :class:`Configuration` carries, for each of the two simulated parsers,
 
-* a sequence of **state-items** — ``(state id, item)`` pairs forming a
-  path of transition and production-step edges in the parser, with
-  completed productions already folded away (paper Figure 8); and
+* a sequence of **state-items** — ``(state, item)`` pairs forming a path
+  of transition and production-step edges in the parser, with completed
+  productions already folded away (paper Figure 8), held as the dense
+  ids of the automaton's :class:`~repro.automaton.index.StateItemIndex`
+  packed into one int (see :func:`pack`); and
 * a sequence of **partial derivations** aligned with the transition edges
   of that path, containing exactly one conflict-dot marker until the fold
   that completes the conflict item absorbs it.
@@ -25,21 +27,23 @@ Figure 10:
 * **reverse production step** on one parser (10d, 10e);
 * **reduction** on one parser (10f) — fold the last ``len(rhs)+1``
   state-items and wrap the matching derivations into a node.
+
+Every move reads per-id edges the index builds on first use, and the
+per-id lookahead masks of
+:attr:`~repro.automaton.lalr.LALRAutomaton.masks_by_id`. What a move
+would otherwise rebuild for every successor — leaf derivations, the
+viable-symbol set, move labels — is made once per generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.automaton.conflicts import Conflict
-from repro.automaton.items import Item
+from repro.automaton.index import StateItemIndex
 from repro.automaton.lalr import LALRAutomaton
 from repro.core.derivation import DOT, Derivation, dleaf
-from repro.grammar import Nonterminal, Production, Symbol
-
-#: A position in the parser: (state id, item).
-StateItem = tuple[int, Item]
+from repro.grammar import Symbol
 
 # Action costs (used by the Dijkstra-style search in repro.core.search).
 # Production steps are deliberately expensive relative to transitions and
@@ -47,78 +51,141 @@ StateItem = tuple[int, Item]
 # taken repeatedly within one state (e.g. left-recursive items), so the
 # search "imposes different costs on different kinds of actions" to
 # postpone such expansions. The same ratio is used by GNU Bison's
-# implementation of this algorithm.
-COST_TRANSITION = 1.0
-COST_PRODUCTION_STEP = 50.0
-COST_REVERSE_TRANSITION = 1.0
-COST_REVERSE_PRODUCTION_STEP = 50.0
-COST_REDUCTION = 1.0
+# implementation of this algorithm. Costs must be positive integers: the
+# search files configurations in one bucket per total cost.
+COST_TRANSITION = 1
+COST_PRODUCTION_STEP = 50
+COST_REVERSE_TRANSITION = 1
+COST_REVERSE_PRODUCTION_STEP = 50
+COST_REDUCTION = 1
+
+# ``Configuration.flags`` packs the stage bookkeeping into one int:
+# bit 0 is "the conflict terminal has been shifted", bits 1-31 hold one
+# plus the position of parser 1's conflict item in its sequence and
+# bits 32 and up the same for parser 2 (0 once that item is folded).
+_SHIFTED = 1
+_UNIT1 = 2
+_MASK1 = 0xFFFF_FFFE
+_UNIT2 = 1 << 32
+_INITIAL_FLAGS = _UNIT1 | _UNIT2
+#: Flag bits that stay set while either conflict item is unfolded.
+UNFOLDED = _MASK1 | -_UNIT2
+
+# An item sequence is one int: ``width`` bits per entry, the last entry
+# in the low bits, each entry stored as ``id + 1``. The leading digit is
+# never zero, so a sequence of ``n`` entries is at least
+# ``1 << width * (n - 1)`` and its length follows from ``bit_length``.
+# A search keeps every configuration it enqueues, and a packed sequence
+# takes a third of the bytes of a tuple of the same ids.
 
 
-@dataclass(frozen=True, slots=True)
+def sequence_width(index: StateItemIndex) -> int:
+    """Bits per packed entry for the ids of *index*."""
+    return max(1, len(index).bit_length())
+
+
+def pack(ids, width: int) -> int:
+    """The packed sequence of *ids*, first id in the high bits."""
+    sequence = 0
+    for node in ids:
+        sequence = (sequence << width) | (node + 1)
+    return sequence
+
+
+def unpack(sequence: int, width: int) -> tuple[int, ...]:
+    """The ids of a packed sequence, first to last."""
+    digit = (1 << width) - 1
+    ids: list[int] = []
+    while sequence:
+        ids.append((sequence & digit) - 1)
+        sequence >>= width
+    return tuple(reversed(ids))
+
+
+#: ``SuccessorGenerator.successors`` move selectors: forward and reverse
+#: production steps, every other move, or both.
+STEP_MOVES = 1
+OTHER_MOVES = 2
+ALL_MOVES = STEP_MOVES | OTHER_MOVES
+
+
 class Configuration:
     """One search state of the product-parser simulation.
 
-    ``conflict1``/``conflict2`` are the positions of the original conflict
-    items within ``items1``/``items2`` (they shift right as symbols are
-    prepended), or ``-1`` once the reduction folding that item has been
-    performed — which is exactly the completion of stage 1 (stage 2 for
-    the second parser).
+    ``items1``/``items2`` are packed item sequences (:func:`pack`).
+    :attr:`flags` holds the positions of the original conflict items
+    within them (they shift right as symbols are prepended), cleared
+    once the reduction folding that item has been performed — which is
+    exactly the completion of stage 1 (stage 2 for the second parser) —
+    and whether the conflict terminal has been shifted.
+
+    A configuration is its own deduplication key: it hashes and compares
+    on its item sequences and flags, not its derivations (those are
+    determined by the cheapest path to it).
     """
 
-    items1: tuple[StateItem, ...]
-    items2: tuple[StateItem, ...]
-    derivs1: tuple[Derivation, ...]
-    derivs2: tuple[Derivation, ...]
-    conflict1: int = 0
-    conflict2: int = 0
-    shifted: bool = False
+    __slots__ = ("items1", "items2", "derivs1", "derivs2", "flags")
+
+    def __init__(
+        self,
+        items1: int,
+        items2: int,
+        derivs1: tuple[Derivation, ...],
+        derivs2: tuple[Derivation, ...],
+        flags: int = _INITIAL_FLAGS,
+    ) -> None:
+        self.items1 = items1
+        self.items2 = items2
+        self.derivs1 = derivs1
+        self.derivs2 = derivs2
+        self.flags = flags
+
+    def __hash__(self) -> int:
+        return hash((self.items1, self.items2, self.flags))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Configuration)
+            and self.flags == other.flags
+            and self.items1 == other.items1
+            and self.items2 == other.items2
+        )
+
+    @property
+    def shifted(self) -> bool:
+        return bool(self.flags & _SHIFTED)
 
     @property
     def complete1(self) -> bool:
         """Stage 1 done: the conflict reduce item has been folded."""
-        return self.conflict1 < 0
+        return not self.flags & _MASK1
 
     @property
     def complete2(self) -> bool:
         """Stage 2 done: the other conflict item has been folded."""
-        return self.conflict2 < 0
-
-    def key(self) -> tuple:
-        """Deduplication key: derivations are determined by the cheapest path."""
-        return (
-            self.items1,
-            self.items2,
-            self.conflict1,
-            self.conflict2,
-            self.shifted,
-        )
-
-    def head_state(self) -> int:
-        return self.items1[0][0]
-
-    def __str__(self) -> str:
-        def side(items: tuple[StateItem, ...], derivs: tuple[Derivation, ...]) -> str:
-            item_text = " ; ".join(f"{s}:{itm}" for s, itm in items)
-            deriv_text = " ".join(d.render() for d in derivs)
-            return f"[{item_text}] / [{deriv_text}]"
-
-        return (
-            f"Config(1: {side(self.items1, self.derivs1)}\n"
-            f"       2: {side(self.items2, self.derivs2)}\n"
-            f"       complete1={self.complete1} complete2={self.complete2} "
-            f"shifted={self.shifted})"
-        )
+        return self.flags < _UNIT2
 
 
-def initial_configuration(conflict: Conflict) -> Configuration:
+def initial_configuration(
+    index: StateItemIndex, conflict: Conflict
+) -> Configuration:
     """The paper's Figure 8(b): singleton item sequences, dot-only derivations."""
+    width = sequence_width(index)
     return Configuration(
-        items1=((conflict.state_id, conflict.reduce_item),),
-        items2=((conflict.state_id, conflict.other_item),),
-        derivs1=(DOT,),
-        derivs2=(DOT,),
+        pack((index.id_of(conflict.state_id, conflict.reduce_item),), width),
+        pack((index.id_of(conflict.state_id, conflict.other_item),), width),
+        (DOT,),
+        (DOT,),
     )
+
+
+def _integer_cost(value: float) -> int:
+    cost = int(value)
+    if cost != value or cost < 1:
+        raise ValueError(
+            f"search action costs must be positive integers, got {value!r}"
+        )
+    return cost
 
 
 class SuccessorGenerator:
@@ -140,91 +207,320 @@ class SuccessorGenerator:
                 shortest lookahead-sensitive path (§6 tradeoff).
         """
         self.automaton = automaton
-        self.analysis = automaton.analysis
-        self.grammar = automaton.grammar
-        self.lookups = automaton.lookups
         self.conflict = conflict
         self.allowed_prepend_states = allowed_prepend_states
-        # Hot-path state, hoisted once per conflict: the successor methods
-        # run for every explored configuration, so attribute chains,
-        # Symbol-keyed dict probes, and set-based lookahead membership
-        # tests are replaced by flat arrays and int masks.
-        self._states = automaton.lr0.states
-        self._arrays = automaton.lr0.arrays
-        self._masks = automaton.lookahead_masks
+        self.index = index = automaton.lr0.index
+        #: bits per entry of a packed item sequence
+        self.width = sequence_width(index)
+        self._digit = (1 << self.width) - 1
+        self._masks = automaton.masks_by_id
+        self._terminal = conflict.terminal
         self._terminal_bit = automaton.terminal_bit(conflict.terminal)
-        #: (production index, dot) -> FIRST symbols of rhs[dot:] + nullable.
-        self._tail_first: dict[tuple[int, int], tuple[frozenset[Symbol], bool]] = {}
+        self._shift_reduce = conflict.is_shift_reduce
+        self._costs = (
+            _integer_cost(COST_REDUCTION),
+            _integer_cost(COST_TRANSITION),
+            _integer_cost(COST_PRODUCTION_STEP),
+            _integer_cost(COST_REVERSE_PRODUCTION_STEP),
+            _integer_cost(COST_REVERSE_TRANSITION),
+        )
+        #: Largest single-move cost: the search's bucket look-ahead.
+        self.max_move_cost = max(self._costs)
+        #: Cost of the moves other than production steps, at most.
+        self.other_cost = max(self._costs[0], self._costs[1], self._costs[4])
+        #: The one cost of forward and reverse production steps when it
+        #: exceeds every other move's (the search defers them), else None.
+        self.step_cost = (
+            self._costs[2]
+            if self._costs[2] == self._costs[3] > self.other_cost
+            else None
+        )
+        #: symbol -> one-bit mask, for FIRST-symbol set intersections.
+        self._symbol_bits: dict[Symbol, int] = {}
+        self._terminal_symbol_bit = self._symbol_bit(conflict.terminal)
+        #: item number -> (FIRST symbols of rhs[dot:] as a mask, nullable)
+        self._tails: list[tuple[int, bool] | None] = [None] * len(index.productions)
+        #: symbol -> its unexpanded leaf derivation
+        self._leaves: dict[Symbol, Derivation] = {}
+        #: flags value -> one shared int object (most flags need two digits)
+        self._flag_values: dict[int, int] = {}
+        #: parent id -> whether a stage-1 reverse production step may take it
+        self._step_allowed: dict[int, bool] = {}
 
-    def _first_of_tail(self, production: Production, dot: int):
-        """Memoized ``first_symbols_of_sequence(production.rhs[dot:])``."""
-        key = (production.index, dot)
-        cached = self._tail_first.get(key)
-        if cached is None:
-            cached = self.analysis.first_symbols_of_sequence(production.rhs[dot:])
-            self._tail_first[key] = cached
-        return cached
+    def initial(self) -> Configuration:
+        """The search's starting configuration (Figure 8(b))."""
+        return initial_configuration(self.index, self.conflict)
+
+    def length(self, sequence: int) -> int:
+        """The number of entries in a packed item sequence."""
+        return (sequence.bit_length() + self.width - 1) // self.width
+
+    def ids(self, sequence: int) -> tuple[int, ...]:
+        """The state-item ids of a packed item sequence, first to last."""
+        return unpack(sequence, self.width)
+
+    def _symbol_bit(self, symbol: Symbol) -> int:
+        bit = self._symbol_bits.get(symbol)
+        if bit is None:
+            bit = self._symbol_bits[symbol] = 1 << len(self._symbol_bits)
+        return bit
+
+    def _tail(self, number: int) -> tuple[int, bool]:
+        """FIRST symbols (as a mask) and nullability of an item's tail."""
+        parts = self._tails[number]
+        if parts is None:
+            production = self.index.productions[number]
+            dot = number - self.index.offsets[production.index]
+            symbols, nullable = self.automaton.analysis.first_symbols_of_sequence(
+                production.rhs[dot:]
+            )
+            mask = 0
+            for symbol in symbols:
+                mask |= self._symbol_bit(symbol)
+            parts = self._tails[number] = (mask, nullable)
+        return parts
+
+    def _leaf(self, symbol: Symbol) -> Derivation:
+        leaf = self._leaves.get(symbol)
+        if leaf is None:
+            leaf = self._leaves[symbol] = dleaf(symbol)
+        return leaf
 
     # ------------------------------------------------------------------ #
 
     def successors(
-        self, config: Configuration
-    ) -> Iterator[tuple[str, float, Configuration]]:
-        """Yield ``(action label, cost, successor)`` triples."""
-        yield from self._reductions(config)
-        yield from self._forward_transitions(config)
-        yield from self._forward_production_steps(config)
-        yield from self._reverse_moves(config)
+        self, config: Configuration, moves: int = ALL_MOVES
+    ) -> Iterator[tuple[str, int, Configuration]]:
+        """Yield ``(action label, cost, successor)`` triples.
+
+        Order is fixed — reductions (parser 1, then 2), the joint
+        transition, production steps (parser 1, then 2, in declaration
+        order), reverse production steps (parser 1, then 2), reverse
+        transitions in predecessor order — because the search breaks
+        cost ties first-in first-out. *moves* selects
+        :data:`STEP_MOVES` (forward and reverse production steps),
+        :data:`OTHER_MOVES` (the rest) or both.
+        """
+        index = self.index
+        masks = self._masks
+        terminal_bit = self._terminal_bit
+        reduce_arity = index.reduce_arity
+        next_symbol = index.next_symbol
+        cost_reduction, cost_transition, cost_step, cost_revstep, cost_revtrans = (
+            self._costs
+        )
+        same_flags = self._flag_values.setdefault
+        width = self.width
+        digit = self._digit
+        items1 = config.items1
+        items2 = config.items2
+        flags = config.flags
+        shifted = flags & _SHIFTED
+        last1 = (items1 & digit) - 1
+        last2 = (items2 & digit) - 1
+        arity1 = reduce_arity[last1]
+        arity2 = reduce_arity[last2]
+        # A reduce item on top is complete when the sequence holds its
+        # whole dot-walk and the parent item before it: `arity + 2`
+        # entries, i.e. anything left after dropping `arity + 1`.
+        folds1 = arity1 >= 0 and items1 >> width * (arity1 + 1)
+        folds2 = arity2 >= 0 and items2 >> width * (arity2 + 1)
+        steps = moves & STEP_MOVES
+        others = moves & OTHER_MOVES
+
+        # Reductions (Figure 10(f)). Before the conflict terminal has
+        # been shifted, a reduction is only valid if the conflict
+        # terminal is in the reduce item's lookahead set (it is the next
+        # input symbol at that point).
+        if others and folds1:
+            if shifted or masks[last1] & terminal_bit:
+                successor = self._reduce(config, 1, arity1)
+                if successor is not None:
+                    yield "reduce1", cost_reduction, successor
+        if others and folds2:
+            if shifted or masks[last2] & terminal_bit:
+                successor = self._reduce(config, 2, arity2)
+                if successor is not None:
+                    yield "reduce2", cost_reduction, successor
+
+        # Joint forward transition (Figure 10(a)). The first symbol
+        # after the conflict point must be the conflict terminal,
+        # otherwise the example would not exhibit this conflict.
+        symbol1 = next_symbol[last1]
+        symbol2 = next_symbol[last2]
+        if (
+            others
+            and symbol1 is not None
+            and symbol1 is symbol2
+            and (shifted or symbol1 is self._terminal)
+        ):
+            transition = index.transition
+            target1 = transition(last1)
+            target2 = transition(last2)
+            if target1 >= 0 and target2 >= 0:
+                leaf = self._leaf(symbol1)
+                shifted_flags = flags | _SHIFTED
+                yield "transition", cost_transition, Configuration(
+                    (items1 << width) | (target1 + 1),
+                    (items2 << width) | (target2 + 1),
+                    config.derivs1 + (leaf,),
+                    config.derivs2 + (leaf,),
+                    same_flags(shifted_flags, shifted_flags),
+                )
+
+        # Forward production steps (Figure 10(b)), kept only when the
+        # stepped-into production can begin with a symbol the other
+        # parser may accept next, or can vanish.
+        if steps and (symbol1 is not None or symbol2 is not None):
+            steps_of = index.production_steps
+            steps1 = steps_of(last1) if symbol1 is not None else ()
+            steps2 = steps_of(last2) if symbol2 is not None else ()
+            if steps1 or steps2:
+                item_number = index.item_number
+                tails = self._tails
+                tail = self._tail
+                for parser, step_ids, other, other_arity in (
+                    (1, steps1, last2, arity2),
+                    (2, steps2, last1, arity1),
+                ):
+                    if not step_ids:
+                        continue
+                    viable = self._viable(shifted, other, other_arity)
+                    for step in step_ids:
+                        if viable is not None:
+                            number = item_number[step]
+                            first, nullable = tails[number] or tail(number)
+                            if not nullable and not viable & first:
+                                continue
+                        if parser == 1:
+                            yield "prod1", cost_step, Configuration(
+                                (items1 << width) | (step + 1),
+                                items2,
+                                config.derivs1,
+                                config.derivs2,
+                                flags,
+                            )
+                        else:
+                            yield "prod2", cost_step, Configuration(
+                                items1,
+                                (items2 << width) | (step + 1),
+                                config.derivs1,
+                                config.derivs2,
+                                flags,
+                            )
+
+        # Reverse moves (Figure 10(c)-(e)): only while a reduce item on
+        # top still lacks the symbols before its dot.
+        if not ((arity1 >= 0 and not folds1) or (arity2 >= 0 and not folds2)):
+            return
+        # `top` shifts a new first entry past the existing ones.
+        top1 = (items1.bit_length() + width - 1) // width * width
+        top2 = (items2.bit_length() + width - 1) // width * width
+        head1 = (items1 >> top1 - width) - 1
+        head2 = (items2 >> top2 - width) - 1
+        at_start = index.at_start
+        start1 = at_start[head1]
+        start2 = at_start[head2]
+
+        # Reverse production steps lift a dot-0 head to its parent item
+        # in the same state (Figure 10(d)/(e)).
+        if steps and start1:
+            free = not flags & _MASK1
+            prepended = flags + _UNIT1 if not free else flags
+            prepended = same_flags(prepended, prepended)
+            for parent in index.production_parents(head1):
+                if free or self._reverse_step_allowed(parent):
+                    yield "revprod1", cost_revstep, Configuration(
+                        ((parent + 1) << top1) | items1,
+                        items2,
+                        config.derivs1,
+                        config.derivs2,
+                        prepended,
+                    )
+        if steps and start2:
+            free = flags < _UNIT2 or self._shift_reduce
+            prepended = flags + _UNIT2 if flags >= _UNIT2 else flags
+            prepended = same_flags(prepended, prepended)
+            for parent in index.production_parents(head2):
+                if free or self._reverse_step_allowed(parent):
+                    yield "revprod2", cost_revstep, Configuration(
+                        items1,
+                        ((parent + 1) << top2) | items2,
+                        config.derivs1,
+                        config.derivs2,
+                        prepended,
+                    )
+
+        # Joint reverse transitions prepend one symbol to the common
+        # prefix (Figure 10(c)). Both heads must have the dot past 0; all
+        # dot>0 items of a state share the same previous symbol, so the
+        # two heads agree on the symbol and on the predecessor states.
+        if not others or start1 or start2:
+            return
+        predecessors, retreats1 = index.reverse_transitions(head1)
+        _, retreats2 = index.reverse_transitions(head2)
+        check1 = bool(flags & _MASK1)
+        check2 = flags >= _UNIT2 and not self._shift_reduce
+        prepended = flags
+        if flags & _MASK1:
+            prepended += _UNIT1
+        if flags >= _UNIT2:
+            prepended += _UNIT2
+        prepended = same_flags(prepended, prepended)
+        allowed = self.allowed_prepend_states
+        leaf = None
+        for pred_id, retreat1, retreat2 in zip(predecessors, retreats1, retreats2):
+            if allowed is not None and pred_id not in allowed:
+                continue
+            if retreat1 < 0 or retreat2 < 0:
+                continue
+            if check1 and not masks[retreat1] & terminal_bit:
+                continue
+            if check2 and not masks[retreat2] & terminal_bit:
+                continue
+            if leaf is None:
+                leaf = self._leaf(next_symbol[retreat1])
+            yield "revtransition", cost_revtrans, Configuration(
+                ((retreat1 + 1) << top1) | items1,
+                ((retreat2 + 1) << top2) | items2,
+                (leaf,) + config.derivs1,
+                (leaf,) + config.derivs2,
+                prepended,
+            )
 
     # ------------------------------------------------------------------ #
-    # Reductions (Figure 10(f))
 
-    def _reductions(
-        self, config: Configuration
-    ) -> Iterator[tuple[str, float, Configuration]]:
-        for parser in (1, 2):
-            items = config.items1 if parser == 1 else config.items2
-            state_id, item = items[-1]
-            if not item.at_end:
-                continue
-            arity = len(item.production.rhs)
-            if len(items) < arity + 2:
-                continue  # needs reverse moves first
-            # Stage discipline: before the conflict terminal has been
-            # shifted, a reduction is only valid if the conflict terminal
-            # is in the reduce item's lookahead set (it is the next input
-            # symbol at that point).
-            if not config.shifted:
-                if not self._masks[(state_id, item)] & self._terminal_bit:
-                    continue
-            successor = self._reduce(config, parser)
-            if successor is not None:
-                yield (f"reduce{parser}", COST_REDUCTION, successor)
+    def _reduce(
+        self, config: Configuration, parser: int, arity: int
+    ) -> Configuration | None:
+        """Fold the top ``arity + 1`` state-items of *parser* (Figure 10(f))."""
+        index = self.index
+        if parser == 1:
+            items, derivs = config.items1, config.derivs1
+            conflict_index = ((config.flags & _MASK1) >> 1) - 1
+        else:
+            items, derivs = config.items2, config.derivs2
+            conflict_index = (config.flags >> 32) - 1
 
-    def _reduce(self, config: Configuration, parser: int) -> Configuration | None:
-        items = config.items1 if parser == 1 else config.items2
-        derivs = config.derivs1 if parser == 1 else config.derivs2
-        conflict_index = config.conflict1 if parser == 1 else config.conflict2
-
-        state_id, item = items[-1]
-        production = item.production
-        arity = len(production.rhs)
-
-        parent_state_id, parent_item = items[-(arity + 2)]
-        if parent_item.next_symbol != production.lhs:
+        width = self.width
+        digit = self._digit
+        production = index.item_of[(items & digit) - 1].production
+        kept = items >> width * (arity + 1)
+        parent = (kept & digit) - 1
+        if index.next_symbol[parent] is not production.lhs:
             return None
-        goto_id = self._arrays.goto_id(parent_state_id, production.lhs)
-        if goto_id < 0:
+        goto = index.transition(parent)
+        if goto < 0:
             return None
-
-        new_items = items[: -(arity + 1)] + ((goto_id, parent_item.advance()),)
+        new_items = (kept << width) | (goto + 1)
+        length = (items.bit_length() + width - 1) // width
 
         # Does this fold remove the original conflict item? The fold pops
         # the last `arity + 1` entries (the production's dot-walk), so it
         # covers the conflict item iff its index lies in that range. This
         # is exactly the completion of the paper's stage 1 (stage 2 for
         # parser 2).
-        covers_conflict = conflict_index >= len(items) - (arity + 1)
+        covers_conflict = conflict_index >= length - (arity + 1)
 
         # Fold the derivations: take entries from the end until `arity`
         # non-dot derivations are collected; the dot marker lands among
@@ -233,278 +529,73 @@ class SuccessorGenerator:
         collected = 0
         while collected < arity:
             cut -= 1
-            if not derivs[cut].is_dot:
+            if derivs[cut].symbol is not None:
                 collected += 1
         children = list(derivs[cut:])
 
-        if covers_conflict and not any(child.is_dot for child in children):
+        if covers_conflict and not any(child.symbol is None for child in children):
             # The conflict item's dot sits at the left boundary of the
             # collected span (dot position 0, e.g. an epsilon reduce item
             # or a shift item with nothing before its dot); pull the
             # top-level dot marker into the node so the conflict point
             # stays visible inside the derivation.
-            if cut > 0 and derivs[cut - 1].is_dot:
+            if cut > 0 and derivs[cut - 1].symbol is None:
                 cut -= 1
                 children.insert(0, DOT)
 
         node = Derivation(production.lhs, tuple(children), production)
         new_derivs = derivs[:cut] + (node,)
 
-        new_conflict_index = -1 if covers_conflict else conflict_index
+        flags = config.flags
+        if covers_conflict:
+            flags &= ~_MASK1 if parser == 1 else _UNIT2 - 1
+            flags = self._flag_values.setdefault(flags, flags)
         if parser == 1:
             return Configuration(
-                new_items,
-                config.items2,
-                new_derivs,
-                config.derivs2,
-                new_conflict_index,
-                config.conflict2,
-                config.shifted,
+                new_items, config.items2, new_derivs, config.derivs2, flags
             )
         return Configuration(
-            config.items1,
-            new_items,
-            config.derivs1,
-            new_derivs,
-            config.conflict1,
-            new_conflict_index,
-            config.shifted,
+            config.items1, new_items, config.derivs1, new_derivs, flags
         )
 
-    # ------------------------------------------------------------------ #
-    # Joint forward transitions (Figure 10(a))
-
-    def _forward_transitions(
-        self, config: Configuration
-    ) -> Iterator[tuple[str, float, Configuration]]:
-        state1, item1 = config.items1[-1]
-        state2, item2 = config.items2[-1]
-        symbol = item1.next_symbol
-        if symbol is None or symbol != item2.next_symbol:
-            return
-        if not config.shifted and symbol != self.conflict.terminal:
-            # The first symbol after the conflict point must be the
-            # conflict terminal, otherwise the example would not exhibit
-            # this conflict.
-            return
-        arrays = self._arrays
-        code = arrays.code.get(symbol)
-        if code is None:
-            return
-        stride, goto_flat = arrays.stride, arrays.goto_flat
-        target1 = goto_flat[state1 * stride + code]
-        target2 = goto_flat[state2 * stride + code]
-        if target1 < 0 or target2 < 0:
-            return
-        leaf = dleaf(symbol)
-        yield (
-            "transition",
-            COST_TRANSITION,
-            Configuration(
-                config.items1 + ((target1, item1.advance()),),
-                config.items2 + ((target2, item2.advance()),),
-                config.derivs1 + (leaf,),
-                config.derivs2 + (leaf,),
-                config.conflict1,
-                config.conflict2,
-                True,
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Forward production steps (Figure 10(b))
-
-    def _forward_production_steps(
-        self, config: Configuration
-    ) -> Iterator[tuple[str, float, Configuration]]:
-        for parser in (1, 2):
-            items = config.items1 if parser == 1 else config.items2
-            other_items = config.items2 if parser == 1 else config.items1
-            state_id, item = items[-1]
-            symbol = item.next_symbol
-            if symbol is None or not symbol.is_nonterminal:
-                continue
-            assert isinstance(symbol, Nonterminal)
-            viable = self._viable_next_symbols(config, other_items)
-            for production in self.grammar.productions_of(symbol):
-                if not self._step_is_matchable(production, viable):
-                    continue
-                new_entry = (state_id, Item(production, 0))
-                if parser == 1:
-                    successor = Configuration(
-                        items + (new_entry,),
-                        config.items2,
-                        config.derivs1,
-                        config.derivs2,
-                        config.conflict1,
-                        config.conflict2,
-                        config.shifted,
-                    )
-                else:
-                    successor = Configuration(
-                        config.items1,
-                        items + (new_entry,),
-                        config.derivs1,
-                        config.derivs2,
-                        config.conflict1,
-                        config.conflict2,
-                        config.shifted,
-                    )
-                yield (f"prod{parser}", COST_PRODUCTION_STEP, successor)
-
-    def _viable_next_symbols(
-        self, config: Configuration, other_items: tuple[StateItem, ...]
-    ) -> frozenset[Symbol] | None:
+    def _viable(self, shifted: int, other: int, other_arity: int) -> int | None:
         """Symbols the *other* parser could accept on the next joint transition.
 
-        ``None`` means unconstrained (the other parser is about to reduce
-        into an unknown context). Before the conflict terminal has been
-        shifted, the next joint transition must be on it, so the set is
-        exactly the conflict terminal.
+        A mask over grammar symbols; ``None`` means unconstrained (the
+        other parser is about to reduce into an unknown context). Before
+        the conflict terminal has been shifted, the next joint transition
+        must be on it, so the set is exactly the conflict terminal.
         """
-        if not config.shifted:
-            return frozenset({self.conflict.terminal})
-        _, other_item = other_items[-1]
-        if other_item.at_end:
+        if not shifted:
+            return self._terminal_symbol_bit
+        if other_arity >= 0:
             return None
-        symbols, nullable = self._first_of_tail(other_item.production, other_item.dot)
+        number = self.index.item_number[other]
+        symbols, nullable = self._tails[number] or self._tail(number)
         if nullable:
             return None  # the other parser may finish this production entirely
         return symbols
 
-    def _step_is_matchable(
-        self, production: Production, viable: frozenset[Symbol] | None
-    ) -> bool:
-        """Whether stepping into *production* can lead to a matchable transition.
-
-        The step is useful only if the production can begin with a symbol
-        the other parser may accept, or can vanish entirely (nullable),
-        letting its parent continue.
-        """
-        if viable is None:
-            return True
-        first, nullable = self._first_of_tail(production, 0)
-        return nullable or not viable.isdisjoint(first)
-
-    # ------------------------------------------------------------------ #
-    # Reverse moves (Figure 10(c)-(e))
-
-    def _needs_prepend(self, items: tuple[StateItem, ...]) -> bool:
-        _, item = items[-1]
-        return item.at_end and len(items) < len(item.production.rhs) + 2
-
-    def _reverse_moves(
-        self, config: Configuration
-    ) -> Iterator[tuple[str, float, Configuration]]:
-        needs1 = self._needs_prepend(config.items1)
-        needs2 = self._needs_prepend(config.items2)
-        if not (needs1 or needs2):
-            return
-
-        head_state_id, head1 = config.items1[0]
-        _, head2 = config.items2[0]
-        head_state = self.automaton.states[head_state_id]
-
-        # Reverse production steps lift a dot-0 head to its parent item in
-        # the same state (Figure 10(d)/(e)).
-        for parser, head in ((1, head1), (2, head2)):
-            if not head.at_start:
-                continue
-            for parent in self.lookups.reverse_production_steps(head_state, head):
-                if not self._reverse_step_allowed(parser, head_state_id, parent, config):
-                    continue
-                entry = (head_state_id, parent)
-                if parser == 1:
-                    successor = Configuration(
-                        (entry,) + config.items1,
-                        config.items2,
-                        config.derivs1,
-                        config.derivs2,
-                        config.conflict1 + 1 if config.conflict1 >= 0 else -1,
-                        config.conflict2,
-                        config.shifted,
-                    )
-                else:
-                    successor = Configuration(
-                        config.items1,
-                        (entry,) + config.items2,
-                        config.derivs1,
-                        config.derivs2,
-                        config.conflict1,
-                        config.conflict2 + 1 if config.conflict2 >= 0 else -1,
-                        config.shifted,
-                    )
-                yield (f"revprod{parser}", COST_REVERSE_PRODUCTION_STEP, successor)
-
-        # Joint reverse transitions prepend one symbol to the common
-        # prefix (Figure 10(c)). Both heads must have the dot past 0; all
-        # dot>0 items of a state share the same previous symbol, so the
-        # two heads agree on the symbol automatically.
-        if head1.at_start or head2.at_start:
-            return
-        symbol = head1.previous_symbol
-        assert symbol is not None and symbol == head2.previous_symbol
-        retreat1 = head1.retreat()
-        retreat2 = head2.retreat()
-        leaf = dleaf(symbol)
-        masks = self._masks
-        terminal_bit = self._terminal_bit
-        check1 = not config.complete1
-        check2 = not config.complete2 and not self.conflict.is_shift_reduce
-        item_sets = self.lookups.item_sets
-        for pred_id in self._arrays.predecessor_ids(head_state_id, symbol):
-            if (
-                self.allowed_prepend_states is not None
-                and pred_id not in self.allowed_prepend_states
-            ):
-                continue
-            item_set = item_sets[pred_id]
-            if retreat1 not in item_set or retreat2 not in item_set:
-                continue
-            if check1 and not masks[(pred_id, retreat1)] & terminal_bit:
-                continue
-            if check2 and not masks[(pred_id, retreat2)] & terminal_bit:
-                continue
-            yield (
-                "revtransition",
-                COST_REVERSE_TRANSITION,
-                Configuration(
-                    ((pred_id, retreat1),) + config.items1,
-                    ((pred_id, retreat2),) + config.items2,
-                    (leaf,) + config.derivs1,
-                    (leaf,) + config.derivs2,
-                    config.conflict1 + 1 if config.conflict1 >= 0 else -1,
-                    config.conflict2 + 1 if config.conflict2 >= 0 else -1,
-                    config.shifted,
-                ),
-            )
-
-    def _reverse_step_allowed(
-        self,
-        parser: int,
-        state_id: int,
-        parent: Item,
-        config: Configuration,
-    ) -> bool:
+    def _reverse_step_allowed(self, parent: int) -> bool:
         """Stage-1 lookahead discipline for reverse production steps.
 
-        While the conflict item of *parser* is not yet completed, the
-        parent item chosen must allow the conflict terminal to follow the
+        While a parser's conflict item is not yet completed, the parent
+        item chosen must allow the conflict terminal to follow the
         completed production (its precise follow set must contain it).
         Parser 2's side is only constrained for reduce/reduce conflicts —
-        a shift item carries the conflict terminal itself.
+        a shift item carries the conflict terminal itself. The caller
+        skips this test where it does not apply.
         """
-        if parser == 1 and config.complete1:
-            return True
-        if parser == 2 and (config.complete2 or self.conflict.is_shift_reduce):
-            return True
-        # precise_follow = FIRST(β) ∪ (context if β nullable), evaluated
-        # as masks via the automaton's memoized follow parts.
-        first_mask, nullable = self.automaton.follow_parts(
-            parent.production, parent.dot
-        )
-        if first_mask & self._terminal_bit:
-            return True
-        if not nullable:
-            return False
-        return bool(self._masks[(state_id, parent)] & self._terminal_bit)
+        allowed = self._step_allowed.get(parent)
+        if allowed is None:
+            # precise_follow = FIRST(β) ∪ (context if β nullable), evaluated
+            # as masks via the automaton's memoized follow parts.
+            item = self.index.item_of[parent]
+            first_mask, nullable = self.automaton.follow_parts(
+                item.production, item.dot
+            )
+            allowed = self._step_allowed[parent] = bool(
+                first_mask & self._terminal_bit
+                or (nullable and self._masks[parent] & self._terminal_bit)
+            )
+        return allowed

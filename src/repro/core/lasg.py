@@ -29,17 +29,19 @@ projection of it. The BFS asks ``L`` one thing — does it hold the
 conflict terminal ``t``? — and that bit evolves without ``L``: a
 transition keeps it, and a production step from ``A -> α . B β`` sets
 it to ``t ∈ FIRST(β) or (β nullable and bit)``. So the BFS runs over
-tuples ``(state_id, item, bit)``, at most two per ``(state, item)``
-pair, and finds the same path as the BFS over full vertices: a class's
+ints ``id * 2 + bit``, where ``id`` numbers the ``(state, item)`` pair
+in the automaton's :class:`~repro.automaton.index.StateItemIndex` — at
+most two per pair — and finds the same path as the BFS over full
+vertices: a class's
 successor classes and target test depend on the class alone, and the
 first member of a class the full BFS dequeues is the one that reaches
 every new successor class first (``docs/PERFORMANCE.md`` spells this
 out). The full sets of the returned edges are rebuilt by pushing
 ``{$}`` forward along the path.
 
-A lookahead-independent *skeleton* per ``(state_id, item)`` — goto
-target, advanced item, production-step items and the ``(FIRST(β) mask,
-β nullable)`` follow parts — is memoized for the graph's lifetime (one
+A lookahead-independent *skeleton* per pair id — the transition
+target id, the production-step ids and the ``(FIRST(β) mask, β
+nullable)`` follow parts — is memoized for the graph's lifetime (one
 :class:`~repro.core.finder.CounterexampleFinder`), bounded by the
 automaton's size. ``lasg.vertices.materialized`` counts the vertices the
 BFS created; ``lasg.vertices.estimated_full`` records, once per graph,
@@ -62,9 +64,6 @@ from repro.perf import metrics
 from repro.robust.budget import Budget
 from repro.robust.errors import PathNotFoundError
 from repro.robust.faults import fire
-
-#: A BFS vertex: ``(state_id, item, conflict terminal in L?)``.
-_Key = tuple[int, Item, bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,12 +112,12 @@ class LookaheadSensitiveGraph:
         self.automaton = automaton
         self.analysis = automaton.analysis
         self.grammar = automaton.grammar
-        #: (state_id, item) -> (goto_target_id, advanced_item,
-        #: step_items, first_mask, nullable) | None for reduce items.
+        self.index = automaton.lr0.index
+        #: pair id -> (transition target id, production-step ids,
+        #: first_mask, nullable) | None for reduce items.
         #: Conflict-independent, bounded by the automaton size.
         self._skeletons: dict[
-            tuple[int, Item],
-            tuple[int, Item, tuple[Item, ...], int, bool] | None,
+            int, tuple[int, tuple[int, ...], int, bool] | None
         ] = {}
         self._estimate_recorded = False
 
@@ -167,33 +166,31 @@ class LookaheadSensitiveGraph:
     # ------------------------------------------------------------------ #
     # Tuple-level lazy expansion (the hot path)
 
-    def _skeleton(
-        self, state_id: int, item: Item
-    ) -> tuple[int, Item, tuple[Item, ...], int, bool] | None:
-        """Lookahead-independent expansion data for ``(state_id, item)``."""
-        key = (state_id, item)
+    def _skeleton(self, node: int) -> tuple[int, tuple[int, ...], int, bool] | None:
+        """Lookahead-independent expansion data for pair id *node*."""
         try:
-            return self._skeletons[key]
+            return self._skeletons[node]
         except KeyError:
             pass
-        symbol = item.next_symbol
+        index = self.index
+        symbol = index.next_symbol[node]
         if symbol is None:
             skeleton = None
         else:
-            target_id = self.automaton.states[state_id].transitions[symbol].id
             if symbol.is_nonterminal:
-                assert isinstance(symbol, Nonterminal)
+                item = index.item_of[node]
                 first_mask, nullable = self.automaton.follow_parts(
                     item.production, item.dot
                 )
-                step_items = tuple(
-                    Item(production, 0)
-                    for production in self.grammar.productions_of(symbol)
-                )
             else:
-                first_mask, nullable, step_items = 0, False, ()
-            skeleton = (target_id, item.advance(), step_items, first_mask, nullable)
-        self._skeletons[key] = skeleton
+                first_mask, nullable = 0, False
+            skeleton = (
+                index.transition(node),
+                index.production_steps(node),
+                first_mask,
+                nullable,
+            )
+        self._skeletons[node] = skeleton
         return skeleton
 
     def _record_estimate(self) -> None:
@@ -232,33 +229,33 @@ class LookaheadSensitiveGraph:
         fire("lasg")
         self._record_estimate()
         automaton = self.automaton
-        target_state = automaton.states[conflict.state_id]
-        target_item = conflict.reduce_item
-        target_state_id = conflict.state_id
+        index = self.index
+        target = index.id_of(conflict.state_id, conflict.reduce_item)
         terminal_bit = automaton.terminal_bit(conflict.terminal)
 
         # Restrict to (state, item) pairs that can reach the conflict item
         # (§6 describes a state-level restriction; the pair-level one is a
         # strictly stronger, equally sound prune).
-        allowed_pairs = automaton.lookups.reaching_pairs(target_state, target_item)
+        allowed = automaton.lookups.reaching(target)
 
-        start_item = automaton.start_item
-        if (0, start_item) not in allowed_pairs:
+        # Id 0 is state 0's first item, ``START' -> . S $``.
+        if not allowed[0]:
             raise PathNotFoundError(
-                f"start state cannot reach conflict item {target_item} "
+                f"start state cannot reach conflict item {conflict.reduce_item} "
                 f"in state {conflict.state_id}",
                 stage="lasg",
                 conflict=str(conflict),
                 state_id=conflict.state_id,
             )
 
-        # A key is (state_id, item, conflict terminal in L?): the bit
-        # projection of the paper's vertex (see the module docstring).
+        # A key is id * 2 + (conflict terminal in L?): the bit projection
+        # of the paper's vertex (see the module docstring).
         end_bit = automaton.terminal_bit(END_OF_INPUT)
-        start_key = (0, start_item, bool(end_bit & terminal_bit))
-        #: every vertex seen -> (parent key, edge symbol or None) | None
-        parents: dict[_Key, tuple[_Key, Symbol | None] | None] = {start_key: None}
-        queue: deque[_Key] = deque([start_key])
+        start_key = 1 if end_bit & terminal_bit else 0
+        target_key = target * 2 + 1
+        #: every key seen -> the key it was first reached from (-1: start)
+        parents: dict[int, int] = {start_key: -1}
+        queue: deque[int] = deque([start_key])
         skeleton_of = self._skeleton
 
         while queue:
@@ -266,26 +263,26 @@ class LookaheadSensitiveGraph:
                 budget.charge()
                 budget.poll("lasg")
             key = queue.popleft()
-            state_id, item, bit = key
-            if bit and state_id == target_state_id and item == target_item:
+            if key == target_key:
                 metrics.count("lasg.vertices.materialized", len(parents))
                 return self._reconstruct(parents, key)
-            skeleton = skeleton_of(state_id, item)
+            skeleton = skeleton_of(key >> 1)
             if skeleton is None:
                 continue
-            target_id, advanced, step_items, first_mask, nullable = skeleton
-            successor = (target_id, advanced, bit)
-            if successor not in parents and (target_id, advanced) in allowed_pairs:
-                parents[successor] = (key, item.next_symbol)
+            bit = key & 1
+            target_id, step_ids, first_mask, nullable = skeleton
+            successor = target_id * 2 + bit
+            if successor not in parents and allowed[target_id]:
+                parents[successor] = key
                 queue.append(successor)
-            if not step_items:
+            if not step_ids:
                 continue
-            step_bit = bool(first_mask & terminal_bit) or (nullable and bit)
-            for step_item in step_items:
-                successor = (state_id, step_item, step_bit)
-                if successor in parents or (state_id, step_item) not in allowed_pairs:
+            step_bit = 1 if first_mask & terminal_bit or (nullable and bit) else 0
+            for step_id in step_ids:
+                successor = step_id * 2 + step_bit
+                if successor in parents or not allowed[step_id]:
                     continue
-                parents[successor] = (key, None)
+                parents[successor] = key
                 queue.append(successor)
 
         metrics.count("lasg.vertices.materialized", len(parents))
@@ -297,34 +294,40 @@ class LookaheadSensitiveGraph:
             state_id=conflict.state_id,
         )
 
-    def _reconstruct(
-        self, parents: dict[_Key, tuple[_Key, Symbol | None] | None], key: _Key
-    ) -> list[LASGEdge]:
+    def _reconstruct(self, parents: dict[int, int], key: int) -> list[LASGEdge]:
         """Materialise the edge objects for the discovered path only.
 
-        The full lookahead sets come back by pushing ``{$}`` forward
-        along the path: transitions keep ``L``, production steps apply
-        the precise follow ``FIRST(β) ∪ (L if β nullable)``.
+        An edge into a dot-0 item is a production step, any other edge a
+        transition on the source item's next symbol. The full lookahead
+        sets come back by pushing ``{$}`` forward along the path:
+        transitions keep ``L``, production steps apply the precise
+        follow ``FIRST(β) ∪ (L if β nullable)``.
         """
-        chain: list[tuple[_Key, Symbol | None]] = []
-        current = key
-        while (link := parents[current]) is not None:
-            chain.append((current, link[1]))
-            current = link[0]
+        chain: list[int] = []
+        while key >= 0:
+            chain.append(key >> 1)
+            key = parents[key]
         chain.reverse()
+        index = self.index
         view = self.automaton.terminal_table.view
         mask = self.automaton.terminal_bit(END_OF_INPUT)
-        source = LASGVertex(current[0], current[1], view(mask))
+        source_id = chain[0]
+        source = LASGVertex(
+            index.state_of[source_id], index.item_of[source_id], view(mask)
+        )
         edges: list[LASGEdge] = []
-        for (state_id, item, _bit), symbol in chain:
-            if symbol is None:
-                _, _, _, first_mask, nullable = self._skeleton(
-                    source.state_id, source.item
-                )
+        for node in chain[1:]:
+            if index.at_start[node]:
+                symbol = None
+                _, _, first_mask, nullable = self._skeleton(source_id)
                 mask = first_mask | mask if nullable else first_mask
-            target = LASGVertex(state_id, item, view(mask))
+            else:
+                symbol = index.next_symbol[source_id]
+            target = LASGVertex(
+                index.state_of[node], index.item_of[node], view(mask)
+            )
             edges.append(LASGEdge(source, symbol, target))
-            source = target
+            source, source_id = target, node
         return edges
 
 

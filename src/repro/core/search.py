@@ -3,9 +3,36 @@
 The search starts from the conflict items themselves — not from the start
 state — and grows configurations outward with the successor moves of
 :mod:`repro.core.configurations`. Configurations are explored in order of
-increasing cost (a Dijkstra-style priority queue with duplicate
-suppression), which is how the paper postpones unproductive repeated
-production steps (§5.4, third observation).
+increasing cost (Dijkstra-style, with duplicate suppression), which is
+how the paper postpones unproductive repeated production steps (§5.4,
+third observation).
+
+The frontier is Dial's bucket queue: one FIFO list per total cost,
+drained lowest cost first. Every move costs a positive integer, so a
+successor always lands in a later bucket than the one being drained,
+and popping buckets in cost order and each bucket in insertion order
+visits configurations in exactly the ``(cost, insertion counter)`` order
+of a binary heap — the same configurations in the same order, without
+a heap entry tuple or a ``log n`` sift per configuration.
+
+Production steps, forward and reverse, cost 50 where every other move
+costs 1, and they are most of what a search enqueues. An explored
+configuration's step successors all belong in bucket ``cost + 50``, so
+the search files the configuration itself in a *deferred* list for that
+bucket and generates its steps when the bucket comes due: at the start
+of the level below it, before any cost-1 move can file into it. The
+steps then enter the bucket in the order and at the place the heap
+would have put them, after every push the heap would have seen first,
+so the same configurations are explored in the same order. The one
+difference: a step whose configuration a cheaper move reached while it
+waited is dropped, where the heap would have enqueued it and later
+popped it as stale. Explored counts, accepted costs and derivations
+agree with the heap's on every conflicted corpus grammar and 20 fuzz
+seeds (``tests/core/test_search_equivalence.py``). What changes is
+memory and work: a search stopped by its budget never generates the
+steps of buckets it did not reach, which were most of its
+configurations. ``SearchStats.enqueued`` counts steps when they are
+generated, so it matches the heap's count once the frontier runs dry.
 
 Success is a configuration whose two item sequences have the form
 ``[? -> … • A …, ? -> … A • …]`` with a single derivation of the same
@@ -27,16 +54,18 @@ The search is
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
 from repro.automaton.conflicts import Conflict
 from repro.automaton.lalr import LALRAutomaton
 from repro.core.configurations import (
+    ALL_MOVES,
+    OTHER_MOVES,
+    STEP_MOVES,
+    UNFOLDED,
     Configuration,
     SuccessorGenerator,
-    initial_configuration,
 )
 from repro.core.counterexample import Counterexample
 from repro.grammar import Nonterminal
@@ -51,6 +80,8 @@ class SearchStats:
     """Instrumentation for benchmarks and the ablation study."""
 
     explored: int = 0
+    #: Configurations enqueued; deferred production steps count when
+    #: generated (see the module docstring).
     enqueued: int = 0
     elapsed: float = 0.0
     timed_out: bool = False
@@ -131,68 +162,135 @@ class UnifyingSearch:
         )
         budget.start()
 
-        counter = 0
-        initial = initial_configuration(self.conflict)
-        frontier: list[tuple[float, int, Configuration]] = [(0.0, counter, initial)]
-        best_cost: dict[tuple, float] = {initial.key(): 0.0}
+        generator = self.generator
+        initial = generator.initial()
+        #: configuration -> cheapest cost it was enqueued at
+        best_cost: dict[Configuration, int] = {initial: 0}
+        #: total cost -> configurations enqueued at that cost, in order
+        buckets: dict[int, list[Configuration]] = {0: [initial]}
+        pending = 1
 
         # Loop-local bindings: this loop runs once per explored
         # configuration (tens of thousands per conflict on grammars like
         # SQL.1), so global and attribute loads are paid for up front.
-        heappop = heapq.heappop
-        heappush = heapq.heappush
         best_cost_get = best_cost.get
-        successors_of = self.generator.successors
+        best_cost_setdefault = best_cost.setdefault
+        buckets_get = buckets.get
+        successors_of = generator.successors
+        accept = self._accept
         max_cost = self.max_cost
-        infinity = float("inf")
+        if max_cost is None:
+            max_cost = float("inf")
+        charge = budget.charge
+        poll = budget.poll
+        move_costs = range(generator.max_move_cost + 1)
+        # Production steps cost more than any other move. A configuration's
+        # step successors all land in bucket `cost + step_cost`, so the
+        # configuration itself waits in `deferred` for that bucket and its
+        # steps are generated when the bucket comes due: just before any
+        # other move can file into it, which keeps its FIFO order.
+        step_cost = generator.step_cost
+        lead = generator.other_cost
+        deferred: dict[int, list[Configuration]] = {}
+        now_moves = ALL_MOVES if step_cost is None else OTHER_MOVES
+        explored = enqueued = 0
+        cost = -1
+        stopped: str | None = None
 
-        while frontier:
-            stats.explored += 1
-            budget.charge()
+        def overrun() -> str | None:
+            """Why the budget stops the search now, if it does."""
             try:
-                budget.poll("search")
+                poll("search")
             except SearchTimeout:
-                stats.timed_out = True
-                stats.stopped_reason = "timeout"
-                break
+                return "timeout"
             except BudgetExhausted:
                 # Preserve the historical accounting: hitting the
                 # configuration cap counts as a timeout in Table 1.
-                stats.timed_out = True
-                stats.stopped_reason = "budget"
-                break
+                return "budget"
+            return None
 
-            cost, _, config = heappop(frontier)
-            if cost > best_cost_get(config.key(), infinity):
-                continue  # stale queue entry
-
-            accepted = self._accept(config)
-            if accepted is not None:
-                stats.elapsed = time.monotonic() - started
-                self._record_stats(stats)
-                accepted = Counterexample(
-                    conflict=accepted.conflict,
-                    unifying=True,
-                    nonterminal=accepted.nonterminal,
-                    derivation1=accepted.derivation1,
-                    derivation2=accepted.derivation2,
-                    search_cost=cost,
-                )
-                return SearchResult(accepted, stats)
-
-            for _label, delta, successor in successors_of(config):
-                new_cost = cost + delta
-                if max_cost is not None and new_cost > max_cost:
+        def enqueue(moves, after: list[int]) -> None:
+            nonlocal enqueued, pending
+            for _label, delta, successor in moves:
+                new_cost = after[delta]
+                if new_cost > max_cost:
                     continue
-                key = successor.key()
-                if new_cost < best_cost_get(key, infinity):
-                    best_cost[key] = new_cost
-                    counter += 1
-                    stats.enqueued += 1
-                    heappush(frontier, (new_cost, counter, successor))
+                known = len(best_cost)
+                previous = best_cost_setdefault(successor, new_cost)
+                if len(best_cost) == known:
+                    if new_cost >= previous:
+                        continue
+                    best_cost[successor] = new_cost
+                enqueued += 1
+                pending += 1
+                bucket_at = buckets_get(new_cost)
+                if bucket_at is None:
+                    buckets[new_cost] = [successor]
+                else:
+                    bucket_at.append(successor)
+
+        while (pending or deferred) and stopped is None:
+            cost += 1
+            due = deferred.pop(cost + lead, None)
+            if due is not None:
+                assert step_cost is not None
+                at_due = [cost + lead] * (step_cost + 1)
+                for parent in due:
+                    # A due list can hold a whole level's configurations:
+                    # keep the deadline in view while generating it.
+                    stopped = overrun()
+                    if stopped is not None:
+                        break
+                    enqueue(successors_of(parent, STEP_MOVES), at_due)
+                if stopped is not None:
+                    break
+            bucket = buckets.pop(cost, None)
+            if bucket is None:
+                continue
+            pending -= len(bucket)
+            # ``after[delta]`` is ``cost + delta``, one int object shared
+            # by every successor filed from this bucket.
+            after = [cost + delta for delta in move_costs]
+            for config in bucket:
+                explored += 1
+                charge()
+                stopped = overrun()
+                if stopped is not None:
+                    break
+
+                if best_cost_get(config) < cost:
+                    continue  # superseded by a cheaper copy
+
+                if not config.flags & UNFOLDED:
+                    accepted = accept(config)
+                    if accepted is not None:
+                        stats.explored, stats.enqueued = explored, enqueued
+                        stats.elapsed = time.monotonic() - started
+                        self._record_stats(stats)
+                        accepted = Counterexample(
+                            conflict=accepted.conflict,
+                            unifying=True,
+                            nonterminal=accepted.nonterminal,
+                            derivation1=accepted.derivation1,
+                            derivation2=accepted.derivation2,
+                            search_cost=float(cost),
+                        )
+                        return SearchResult(accepted, stats)
+
+                enqueue(successors_of(config, now_moves), after)
+                if step_cost is not None and cost + step_cost <= max_cost:
+                    waiting = deferred.get(cost + step_cost)
+                    if waiting is None:
+                        deferred[cost + step_cost] = [config]
+                    else:
+                        waiting.append(config)
+
+        stats.explored, stats.enqueued = explored, enqueued
+        if stopped is not None:
+            stats.timed_out = True
+            stats.stopped_reason = stopped
         else:
             stats.exhausted = True
-
         stats.elapsed = time.monotonic() - started
         self._record_stats(stats)
         return SearchResult(None, stats)
@@ -215,7 +313,8 @@ class UnifyingSearch:
             return None
         if len(config.derivs1) != 1 or len(config.derivs2) != 1:
             return None
-        if len(config.items1) != 2 or len(config.items2) != 2:
+        length = self.generator.length
+        if length(config.items1) != 2 or length(config.items2) != 2:
             return None
         derivation1 = config.derivs1[0]
         derivation2 = config.derivs2[0]

@@ -88,6 +88,9 @@ class SnapshotLedger(Generic[R]):
         self.fault_context = fault_context
         self.appends_since_rotate = 0
         self.torn_writes = 0
+        # Only a file this writer did not end itself can have a torn
+        # tail: probe on the first append and after a torn write.
+        self._probe_tail = True
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.stale_temps_removed = self._remove_stale_temps()
 
@@ -141,7 +144,8 @@ class SnapshotLedger(Generic[R]):
         self.appends_since_rotate += 1
 
     def _write_line(self, line: str) -> None:
-        healed = self._needs_heal()
+        healed = self._probe_tail and self._needs_heal()
+        self._probe_tail = False
         with open(self.path, "a", encoding="utf-8") as handle:
             if healed:
                 handle.write("\n")
@@ -154,6 +158,7 @@ class SnapshotLedger(Generic[R]):
                 # back to the key's previous snapshot.
                 handle.write(line[: max(1, len(line) // 2)])
                 self.torn_writes += 1
+                self._probe_tail = True
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())

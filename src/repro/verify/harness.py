@@ -11,9 +11,9 @@ One fuzz iteration closes the whole loop the library exists for:
    the three parser runtimes;
 3. the :class:`~repro.core.finder.CounterexampleFinder` explains every
    conflict;
-4. the context's SR-walk verdicts are held to the finder's reports
-   (:meth:`FuzzHarness._check_verdicts` — the only place the walk and
-   the search are cross-checked);
+4. the context's SR-walk verdicts and conflict provenance are held to
+   the finder's reports (:meth:`FuzzHarness._check_verdicts` — the only
+   place the walk, the classifier and the search are cross-checked);
 5. one :class:`~repro.verify.validate.CounterexampleValidator`
    independently re-proves each counterexample and each ambiguity
    witness.
@@ -53,6 +53,10 @@ class FailureKind(enum.Enum):
     #: The SR pair walk proved a conflict ``unambiguous`` that the finder
     #: explained with a verified unifying counterexample.
     WALK_CONTRADICTION = "walk-contradiction"
+    #: A conflict classified as an LALR merge artifact has a verified
+    #: unifying counterexample (impossible unless the classifier or the
+    #: search is wrong).
+    PROVENANCE_CONTRADICTION = "provenance-contradiction"
     FINDER_TIMEOUT = "finder-timeout"
     CRASH = "crash"
 
@@ -462,6 +466,7 @@ class FuzzHarness:
         if automaton.conflicts:
             from repro.automaton.ielr import ProvenanceVerdict
 
+            provenance = {}
             try:
                 provenance = context.provenance
             except Exception as error:  # noqa: BLE001
@@ -485,7 +490,9 @@ class FuzzHarness:
                     (FailureKind.CRASH, f"ambiguity walk raised {error!r}")
                 )
             else:
-                self._check_verdicts(verdicts, summary.reports, validator, result)
+                self._check_verdicts(
+                    verdicts, provenance, summary.reports, validator, result
+                )
 
         result.conflicts = summary.num_conflicts
         result.unifying = summary.num_unifying
@@ -545,15 +552,24 @@ class FuzzHarness:
         return result
 
     @staticmethod
-    def _check_verdicts(verdicts, reports, validator, result: _Examination) -> None:
-        """Hold the SR walk's verdicts to the finder's reports.
+    def _check_verdicts(
+        verdicts, provenance, reports, validator, result: _Examination
+    ) -> None:
+        """Hold the SR walk's and the classifier's verdicts to the finder's reports.
 
-        Every conflict gets exactly one verdict; no conflict the walk
-        proves ``unambiguous`` has a verified unifying counterexample
-        (impossible unless the walk or the search is wrong); and every
-        ``ambiguous`` witness is re-proved by the validator.
+        Every conflict gets exactly one walk verdict; no conflict the
+        walk proves ``unambiguous`` has a verified unifying
+        counterexample (impossible unless the walk or the search is
+        wrong); and every ``ambiguous`` witness is re-proved by the
+        validator. No conflict *provenance* labels an LALR merge
+        artifact has one either: the two derivations of a unifying
+        counterexample make both conflict items valid LR(1) items for
+        one viable prefix and terminal, so canonical LR(1) would
+        conflict there too. UNKNOWN provenance (capped LR(1)) is not
+        checked.
         """
         from repro.analysis import AmbiguityVerdict
+        from repro.automaton.ielr import ProvenanceVerdict
 
         conflicts = [report.conflict for report in reports]
         missing = [conflict for conflict in conflicts if conflict not in verdicts]
@@ -571,19 +587,28 @@ class FuzzHarness:
                     )
                 )
         for report in reports:
-            verdict = verdicts.get(report.conflict)
-            if (
-                verdict is not None
-                and verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS
-                and report.verified
+            if not (
+                report.verified
                 and report.counterexample is not None
                 and report.counterexample.unifying
             ):
+                continue
+            verdict = verdicts.get(report.conflict)
+            if verdict is not None and verdict.verdict is AmbiguityVerdict.UNAMBIGUOUS:
                 result.problems.append(
                     (
                         FailureKind.WALK_CONTRADICTION,
                         f"conflict [{report.conflict}] proved unambiguous by "
                         "the SR walk has a verified unifying counterexample",
+                    )
+                )
+            origin = provenance.get(report.conflict)
+            if origin is not None and origin.verdict is ProvenanceVerdict.MERGE_ARTIFACT:
+                result.problems.append(
+                    (
+                        FailureKind.PROVENANCE_CONTRADICTION,
+                        f"conflict [{report.conflict}] classified as an LALR "
+                        "merge artifact has a verified unifying counterexample",
                     )
                 )
         for conflict, verdict in verdicts.items():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.automaton import LALRAutomaton, LR1Automaton, build_lalr
+from repro.corpus.registry import all_specs
 from repro.grammar import END_OF_INPUT, Nonterminal, Terminal, load_grammar
 
 
@@ -133,3 +134,16 @@ class TestFacade:
         text = str(figure1_automaton)
         assert "State 0" in text
         assert "{" in text
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda spec: spec.name)
+def test_corpus_masks_match_frozenset_oracle(spec):
+    """The digraph pass over ids equals the frozenset worklist key for key."""
+    from lalr_reference import compute_lalr_lookaheads
+
+    automaton = build_lalr(spec.load())
+    oracle = compute_lalr_lookaheads(automaton.lr0, automaton.analysis)
+    assert list(automaton.lookahead_masks) == list(oracle)
+    mask_of = automaton.terminal_table.mask_of
+    for key, expected in oracle.items():
+        assert automaton.lookahead_masks[key] == mask_of(expected), key

@@ -91,9 +91,11 @@ class TestReachability:
     def test_pairs_cached(self, auto):
         conflict = auto.conflicts[0]
         state = auto.states[conflict.state_id]
+        target = auto.lr0.index.id_of(state.id, conflict.reduce_item)
+        assert auto.lookups.reaching(target) is auto.lookups.reaching(target)
         first = auto.lookups.reaching_pairs(state, conflict.reduce_item)
         second = auto.lookups.reaching_pairs(state, conflict.reduce_item)
-        assert first is second
+        assert first == second
 
     def test_reaching_pairs_closed_under_forward_steps(self, auto):
         """Every pair in the set can actually step toward the target."""
@@ -122,12 +124,6 @@ class TestReachability:
 class TestReachingCache:
     """The bounded LRU policy on memoised ``reaching_pairs`` results."""
 
-    def test_rejects_nonpositive_bound(self, auto):
-        from repro.automaton.lookups import ReverseLookups
-
-        with pytest.raises(ValueError):
-            ReverseLookups(auto, max_cache_entries=0)
-
     def test_hit_and_miss_counters(self, auto):
         lookups = auto.lookups
         conflict = auto.conflicts[0]
@@ -140,10 +136,11 @@ class TestReachingCache:
         assert info["hits"] >= before["hits"] + 1
         assert info["max_entries"] == 128
 
-    def test_eviction_keeps_the_cache_bounded(self, auto):
-        from repro.automaton.lookups import ReverseLookups
+    def test_eviction_keeps_the_cache_bounded(self, auto, monkeypatch):
+        from repro.automaton import lookups as lookups_module
 
-        lookups = ReverseLookups(auto, max_cache_entries=2)
+        monkeypatch.setattr(lookups_module, "REACHING_CACHE_ENTRIES", 2)
+        lookups = lookups_module.ReverseLookups(auto)
         queried = 0
         for state in auto.states:
             for item in state.items:
@@ -154,10 +151,11 @@ class TestReachingCache:
         assert queried > 2
         assert info["evictions"] == info["misses"] - info["entries"]
 
-    def test_lru_order_recency_not_insertion(self, auto):
-        from repro.automaton.lookups import ReverseLookups
+    def test_lru_order_recency_not_insertion(self, auto, monkeypatch):
+        from repro.automaton import lookups as lookups_module
 
-        lookups = ReverseLookups(auto, max_cache_entries=2)
+        monkeypatch.setattr(lookups_module, "REACHING_CACHE_ENTRIES", 2)
+        lookups = lookups_module.ReverseLookups(auto)
         state = auto.states[0]
         a, b = state.items[0], state.items[1]
         lookups.reaching_pairs(state, a)

@@ -11,6 +11,7 @@ steps in declaration order), same pair-level reachability prune.
 
 from collections import deque
 
+from repro.automaton.items import Item
 from repro.core.lasg import LASGEdge, LASGVertex
 from repro.grammar import END_OF_INPUT
 
@@ -31,13 +32,18 @@ def reference_shortest_path(graph, conflict) -> list[LASGEdge]:
         state_id, item, mask = key
         if (state_id, item) == target and mask & terminal_bit:
             break
-        skeleton = graph._skeleton(state_id, item)
-        if skeleton is None:
+        symbol = item.next_symbol
+        if symbol is None:
             continue
-        target_id, advanced, step_items, first_mask, nullable = skeleton
-        follow = first_mask | mask if nullable else first_mask
-        successors = [((target_id, advanced, mask), item.next_symbol)]
-        successors += [((state_id, step, follow), None) for step in step_items]
+        target_id = automaton.states[state_id].transitions[symbol].id
+        successors = [((target_id, item.advance(), mask), symbol)]
+        if symbol.is_nonterminal:
+            first_mask, nullable = automaton.follow_parts(item.production, item.dot)
+            follow = first_mask | mask if nullable else first_mask
+            successors += [
+                ((state_id, Item(production, 0), follow), None)
+                for production in automaton.grammar.productions_of(symbol)
+            ]
         for successor, symbol in successors:
             if successor in seen or successor[:2] not in allowed:
                 continue

@@ -1,4 +1,9 @@
-"""Tests for search configurations and successor moves (Figure 10)."""
+"""Tests for search configurations and successor moves (Figure 10).
+
+Configurations hold ``(state, item)`` pairs as dense ids packed into
+one int per side; the tests decode them through the generator and the
+automaton's index.
+"""
 
 import pytest
 
@@ -23,19 +28,25 @@ def successors_by_label(generator, config):
 
 class TestInitialConfiguration:
     def test_figure8b_form(self, setup):
-        _, conflict, _ = setup
-        config = initial_configuration(conflict)
-        assert config.items1 == ((conflict.state_id, conflict.reduce_item),)
-        assert config.items2 == ((conflict.state_id, conflict.other_item),)
+        _, conflict, generator = setup
+        config = initial_configuration(generator.index, conflict)
+
+        def pairs(items):
+            return generator.index.pairs(generator.ids(items))
+
+        assert pairs(config.items1) == ((conflict.state_id, conflict.reduce_item),)
+        assert pairs(config.items2) == ((conflict.state_id, conflict.other_item),)
         assert config.derivs1 == (DOT,)
         assert config.derivs2 == (DOT,)
         assert not config.complete1 and not config.complete2
         assert not config.shifted
 
     def test_heads_share_state(self, setup):
-        _, conflict, _ = setup
-        config = initial_configuration(conflict)
-        assert config.items1[0][0] == config.items2[0][0]
+        _, conflict, generator = setup
+        config = initial_configuration(generator.index, conflict)
+        state_of = generator.index.state_of
+        head1, head2 = generator.ids(config.items1)[0], generator.ids(config.items2)[0]
+        assert state_of[head1] == state_of[head2]
 
 
 class TestInvariants:
@@ -50,8 +61,11 @@ class TestInvariants:
 
     def test_heads_always_share_state(self, setup):
         _, conflict, generator = setup
-        for config in self.explore(generator, initial_configuration(conflict), 3):
-            assert config.items1[0][0] == config.items2[0][0]
+        state_of = generator.index.state_of
+        for config in self.explore(generator, generator.initial(), 3):
+            head1 = generator.ids(config.items1)[0]
+            head2 = generator.ids(config.items2)[0]
+            assert state_of[head1] == state_of[head2]
 
     def test_yields_always_identical(self, setup):
         """The two derivation lists must spell the same yield (with dot)."""
@@ -63,7 +77,7 @@ class TestInvariants:
                 out.extend(d.yield_symbols())
             return out
 
-        for config in self.explore(generator, initial_configuration(conflict), 3):
+        for config in self.explore(generator, generator.initial(), 3):
             # Parser 2's shift item carries symbols after its dot that
             # parser 1 will only produce later, so compare prefixes up to
             # the dot only.
@@ -73,7 +87,7 @@ class TestInvariants:
 
     def test_exactly_one_dot_until_absorbed(self, setup):
         _, conflict, generator = setup
-        for config in self.explore(generator, initial_configuration(conflict), 3):
+        for config in self.explore(generator, generator.initial(), 3):
             top_level_dots1 = sum(1 for d in config.derivs1 if d.is_dot)
             expected1 = 0 if config.complete1 else 1
             assert top_level_dots1 == expected1
@@ -82,8 +96,9 @@ class TestInvariants:
         """Consecutive state-items are linked by a transition or a
         production step of the parser."""
         auto, conflict, generator = setup
-        for config in self.explore(generator, initial_configuration(conflict), 3):
-            for items in (config.items1, config.items2):
+        for config in self.explore(generator, generator.initial(), 3):
+            for ids in (config.items1, config.items2):
+                items = generator.index.pairs(generator.ids(ids))
                 for (s1, i1), (s2, i2) in zip(items, items[1:]):
                     if s1 == s2 and i2.at_start:
                         assert i1.next_symbol == i2.production.lhs
@@ -96,7 +111,7 @@ class TestInvariants:
 class TestReverseTransition:
     def test_initial_successors_are_reverse_transitions(self, setup):
         _, conflict, generator = setup
-        moves = successors_by_label(generator, initial_configuration(conflict))
+        moves = successors_by_label(generator, generator.initial())
         assert set(moves) == {"revtransition"}
         for _, successor in moves["revtransition"]:
             # One symbol (stmt) prepended to both derivation lists.
@@ -109,11 +124,11 @@ class TestReverseTransition:
         auto = build_lalr(figure1)
         conflict = next(c for c in auto.conflicts if str(c.terminal) == "ELSE")
         generator = SuccessorGenerator(auto, conflict)
-        config = initial_configuration(conflict)
+        config = initial_configuration(auto.lr0.index, conflict)
         for label, _, successor in generator.successors(config):
             if label != "revtransition":
                 continue
-            state_id, item = successor.items1[0]
+            state_id, item = generator.index.pair(generator.ids(successor.items1)[0])
             assert conflict.terminal in auto.lookahead(state_id, item)
 
 
@@ -135,7 +150,7 @@ class TestReduction:
     def test_stage1_reduction_absorbs_dot(self, setup):
         _, conflict, generator = setup
         reduced = self.drive_to_reduction(
-            generator, initial_configuration(conflict), 1
+            generator, generator.initial(), 1
         )
         assert reduced.complete1
         node = reduced.derivs1[-1]
@@ -145,7 +160,7 @@ class TestReduction:
     def test_reduction_shrinks_items_and_moves_to_goto(self, setup):
         auto, conflict, generator = setup
         reduced = self.drive_to_reduction(
-            generator, initial_configuration(conflict), 1
+            generator, generator.initial(), 1
         )
-        state_id, item = reduced.items1[-1]
+        state_id, item = generator.index.pair(generator.ids(reduced.items1)[-1])
         assert item.previous_symbol == conflict.reduce_item.production.lhs

@@ -54,3 +54,38 @@ class TestBrokenClassifierFailsCampaign:
             kind is FailureKind.CRASH and "provenance" in detail
             for kind, detail in examination.problems
         )
+
+
+class TestMergeArtifactInvariant:
+    """A merge artifact never has a verified unifying counterexample."""
+
+    def test_classifier_labelling_figure1_artifacts_is_flagged(self, monkeypatch):
+        import repro.automaton.ielr as ielr_module
+        from repro.automaton.ielr import ConflictProvenance, ProvenanceVerdict
+        from repro.verify.harness import FailureKind
+
+        def all_artifacts(automaton, minimal, max_lr1_states):
+            return {
+                conflict: ConflictProvenance(
+                    ProvenanceVerdict.MERGE_ARTIFACT, conflict.state_id
+                )
+                for conflict in automaton.conflicts
+            }
+
+        monkeypatch.setattr(ielr_module, "classify_conflicts", all_artifacts)
+        examination = FuzzHarness(shrink=False)._examine(load("figure1"), seed=0)
+        assert any(
+            kind is FailureKind.PROVENANCE_CONTRADICTION
+            for kind, _ in examination.problems
+        )
+        assert FailureKind.PROVENANCE_CONTRADICTION.fatal
+
+    def test_honest_classifier_raises_no_contradiction(self):
+        from repro.verify.harness import FailureKind
+
+        for name in ("figure1", "nonlalr01", "nonlalr03-genuine"):
+            examination = FuzzHarness(shrink=False)._examine(load(name), seed=0)
+            assert (
+                FailureKind.PROVENANCE_CONTRADICTION
+                not in examination.problem_kinds()
+            )

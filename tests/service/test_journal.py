@@ -88,6 +88,42 @@ class TestTornWrites:
         assert len(lines) == 2
         json.loads(lines[1])
 
+    def test_tail_probed_once_per_writer(self, tmp_path, monkeypatch):
+        journal = JobJournal(tmp_path / "j.jsonl")
+        probes = []
+        probe = journal._needs_heal
+        monkeypatch.setattr(
+            journal, "_needs_heal", lambda: probes.append(1) or probe()
+        )
+        job = _job()
+        journal.append(job)
+        journal.append(job.advance(JobState.RUNNING, 101.0))
+        journal.append(job.advance(JobState.COMPLETED, 102.0))
+        assert len(probes) == 1
+
+    def test_append_after_torn_write_heals_the_tail(self, tmp_path, monkeypatch):
+        journal = JobJournal(tmp_path / "j.jsonl")
+        job = _job()
+        journal.append(job)
+        with inject_faults(FaultSpec(point="journal", kind=FaultKind.TORN_WRITE)):
+            journal.append(job.advance(JobState.RUNNING, 101.0))
+        probes = []
+        probe = journal._needs_heal
+        monkeypatch.setattr(
+            journal, "_needs_heal", lambda: probes.append(1) or probe()
+        )
+        journal.append(job.advance(JobState.COMPLETED, 102.0))
+        journal.append(job.advance(JobState.COMPLETED, 103.0))
+        assert len(probes) == 1
+        raw = (tmp_path / "j.jsonl").read_text()
+        lines = raw.split("\n")
+        # intact, torn fragment, healed "\n", two intact lines
+        assert raw.endswith("\n") and len(lines) == 5
+        json.loads(lines[2])
+        records, stats = journal.replay()
+        assert stats.torn == 1
+        assert records[job.id].state is JobState.COMPLETED
+
     def test_stale_rotation_temp_is_swept_on_reopen(self, tmp_path):
         # A writer killed mid-rotation leaves j.jsonl.rotate.tmp* behind
         # (the os.replace never happened). Reopening the journal must
