@@ -14,7 +14,7 @@ structures the rest of the library already maintains:
 * shift edges and reduce-goto edges come from the array-backed adjacency
   (:attr:`~repro.automaton.lr0.LR0Automaton.arrays`);
 * reduce applicability is a single ``mask & bit`` test over the bitset
-  lookaheads (:attr:`~repro.automaton.lalr.LALRAutomaton.lookahead_masks`);
+  lookaheads (:attr:`~repro.automaton.lalr.LALRAutomaton.masks_by_id`);
 * context expansion (walking *below* a suffix stack) uses the predecessor
   arrays plus the LR(0) invariant that every state has a unique entry
   symbol, so the states beneath any suffix form a regular language the
@@ -60,7 +60,8 @@ class SRAutomaton:
             ) | self.end_bit
             self._arrays = automaton.lr0.arrays
             states = automaton.states
-            masks = automaton.lookahead_masks
+            masks = automaton.masks_by_id
+            base = automaton.lr0.index.base
 
             shift_masks: list[int] = []
             reduces: list[tuple[tuple[Production, int, Symbol, int], ...]] = []
@@ -75,7 +76,7 @@ class SRAutomaton:
                     )
                 )
                 state_reduces: list[tuple[Production, int, Symbol, int]] = []
-                for item in state.items:
+                for node, item in enumerate(state.items, base[state.id]):
                     if not item.at_end or item.production.index == 0:
                         continue
                     production = item.production
@@ -84,7 +85,7 @@ class SRAutomaton:
                             production,
                             len(production.rhs),
                             production.lhs,
-                            masks[(state.id, item)],
+                            masks[node],
                         )
                     )
                 reduces.append(tuple(state_reduces))

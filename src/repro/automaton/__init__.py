@@ -1,6 +1,5 @@
 """LR automata: LR(0) skeleton, LALR(1)/LR(1)/SLR(1) lookaheads, tables."""
 
-from repro.automaton.compaction import compact_rows, compaction_stats, restore_rows
 from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.ielr import (
     ConflictProvenance,
@@ -38,6 +37,7 @@ from repro.automaton.tables import (
     Reduce,
     Shift,
     build_tables,
+    find_conflicts,
 )
 
 __all__ = [
@@ -70,18 +70,16 @@ __all__ = [
     "canonical_conflict_signatures",
     "classify_conflicts",
     "closure",
-    "compact_rows",
-    "compaction_stats",
     "conflict_signatures",
     "compute_slr_lookaheads",
     "count_slr_conflicts",
     "dump_automaton",
     "dump_tables",
     "end_item",
+    "find_conflicts",
     "load_automaton",
     "load_tables",
     "lr1_closure",
-    "restore_rows",
     "start_item",
     "tables_from_dict",
     "tables_to_dict",

@@ -58,6 +58,7 @@ from repro.automaton.items import Item
 from repro.automaton.lalr import LALRAutomaton, build_lalr
 from repro.automaton.lr0 import LR0Automaton, LR0State, closure, predecessor_map
 from repro.automaton.lr1 import LR1Automaton
+from repro.automaton.tables import reduce_lookaheads
 from repro.grammar import END_OF_INPUT, Grammar, Terminal, normalize_algorithm
 from repro.perf import metrics
 
@@ -126,12 +127,6 @@ class IELRAutomaton(LALRAutomaton):
         lr0 = LR0Automaton.__new__(LR0Automaton)
         lr0.grammar = grammar
         lr0.states = states
-        # Split states share kernels; keep the first (smallest-id) one.
-        # Only construction-time code consults this mapping.
-        by_kernel: dict[frozenset[Item], LR0State] = {}
-        for state in states:
-            by_kernel.setdefault(state.kernel, state)
-        lr0._by_kernel = by_kernel
         lr0.predecessors = predecessor_map(states, states)
         self.lr0 = lr0
 
@@ -452,22 +447,11 @@ def conflict_signatures(automaton: LALRAutomaton) -> frozenset[ConflictSignature
     """
     table = automaton.terminal_table
     iter_mask = table.iter_mask
+    not_end = ~table.bit_of(END_OF_INPUT)
     signatures: set[ConflictSignature] = set()
     for state in automaton.states:
-        state_id = state.id
-        reduce_items = [
-            item
-            for item in state.items
-            if item.at_end and item.production.index != 0
-        ]
-        shift_mask = table.mask_of(
-            symbol
-            for symbol in state.transitions
-            if symbol.is_terminal and symbol != END_OF_INPUT
-        )
-        masks = [
-            automaton.lookahead_masks[(state_id, item)] for item in reduce_items
-        ]
+        reduce_items, masks, shift_mask = reduce_lookaheads(automaton, state)
+        shift_mask &= not_end
         for index, item in enumerate(reduce_items):
             for terminal in iter_mask(masks[index] & shift_mask):
                 signatures.add(("sr", terminal.name, _item_key(item)))

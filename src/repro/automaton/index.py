@@ -19,9 +19,8 @@ build costs more than a small grammar's whole explanation:
 * :meth:`StateItemIndex.production_parents` — for a dot-0 item, the items
   ``A -> α . B β`` of the same state that step into it, in state order;
 * :meth:`StateItemIndex.reverse_transitions` — the retreated item in each
-  predecessor state, aligned with
-  :meth:`~repro.automaton.lr0.AdjacencyArrays.predecessor_ids` (``-1``
-  where the predecessor lacks it).
+  predecessor state, aligned with the state's predecessors on the
+  symbol (``-1`` where the predecessor lacks it).
 
 The index depends on the LR(0) structure only, so it lives on the
 :class:`~repro.automaton.lr0.LR0Automaton` and works the same on
@@ -39,9 +38,9 @@ class StateItemIndex:
     """Dense int ids for the ``(state, item)`` pairs of one automaton."""
 
     __slots__ = (
-        "_arrays",
         "_grammar",
-                "_positions",
+        "_positions",
+        "_predecessors",
         "_states",
         "_transition",
         "_steps",
@@ -60,7 +59,7 @@ class StateItemIndex:
 
     def __init__(self, lr0) -> None:
         self._states = states = lr0.states
-        self._arrays = lr0.arrays
+        self._predecessors = lr0.predecessors
         self._grammar = grammar = lr0.grammar
         #: production index -> number of its dot-0 item; item numbers
         #: ``offsets[p] + dot`` name the grammar's LR(0) items densely.
@@ -158,9 +157,9 @@ class StateItemIndex:
             symbol = self.next_symbol[node]
             target = -1
             if symbol is not None:
-                goto_id = self._arrays.goto_id(self.state_of[node], symbol)
-                if goto_id >= 0:
-                    target = self._position(goto_id).get(self.item_number[node] + 1, -1)
+                goto = self._states[self.state_of[node]].transitions.get(symbol)
+                if goto is not None:
+                    target = self._position(goto.id).get(self.item_number[node] + 1, -1)
             self._transition[node] = target
         return target
 
@@ -205,7 +204,8 @@ class StateItemIndex:
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(predecessor state ids, retreated-item ids)``, aligned.
 
-        The first tuple is ``predecessor_ids(state, X)`` for *node* =
+        The first tuple holds the ids of the states with an X-edge into
+        *node*'s state, in ``lr0.predecessors`` order, for *node* =
         ``A -> α X . β``; the second holds the id of ``A -> α . X β`` in
         each of those states, or ``-1`` where the state lacks it. Both
         are empty for dot-0 items.
@@ -216,7 +216,10 @@ class StateItemIndex:
             if not self.at_start[node]:
                 item = self.item_of[node]
                 symbol = item.production.rhs[item.dot - 1]
-                preds = self._arrays.predecessor_ids(self.state_of[node], symbol)
+                preds = tuple(
+                    pred.id
+                    for pred in self._predecessors[self.state_of[node]].get(symbol, ())
+                )
                 number = self.item_number[node] - 1
                 reverse = (
                     preds,

@@ -218,9 +218,10 @@ class LALRAutomaton:
     def masks_by_id(self) -> list[int]:
         """:attr:`lookahead_masks` as a list indexed by ``lr0.index`` id.
 
-        Every builder and the cache decoder fill the dict state by state
-        in ``state.items`` order, which is id order; the keys are
-        checked by identity and looked up only if that ever fails.
+        Every builder fills the dict state by state in ``state.items``
+        order, which is id order; the keys are checked by identity and
+        looked up only if that ever fails. The cache decoder fills this
+        list directly.
         """
         index = self.lr0.index
         masks = self.lookahead_masks
@@ -273,19 +274,24 @@ class LALRAutomaton:
         from repro.automaton.tables import build_tables
 
         with metrics.span("tables"):
-            tables = build_tables(self)
-        metrics.count("automaton.conflicts", len(tables.conflicts))
-        return tables
+            return build_tables(self)
 
     @cached_property
     def conflicts(self):
         """Unresolved conflicts, in (state, terminal) order.
 
-        The same list as ``tables.conflicts``. An automaton decoded from
-        the cache (:mod:`repro.automaton.serialize`) carries it without
-        materialising the ACTION/GOTO rows, so read conflicts here.
+        Found from the lookahead masks alone
+        (:func:`~repro.automaton.tables.find_conflicts`), without the
+        ACTION/GOTO rows; ``tables.conflicts`` is this same list. An
+        automaton decoded from the cache (:mod:`repro.automaton.serialize`)
+        carries it from the document.
         """
-        return self.tables.conflicts
+        from repro.automaton.tables import find_conflicts
+
+        with metrics.span("conflicts"):
+            conflicts = find_conflicts(self)
+        metrics.count("automaton.conflicts", len(conflicts))
+        return conflicts
 
     @cached_property
     def lookups(self):

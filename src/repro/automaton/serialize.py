@@ -22,18 +22,19 @@ per-item LALR(1) lookahead function, and the unresolved conflicts — so a
 :class:`~repro.automaton.lalr.LALRAutomaton` can be reconstructed without
 re-running LR(0) construction or the lookahead fixpoint.
 
-The format (version 3) mirrors the in-memory hot-path representation:
-lookahead sets are pooled *int bitmasks* over the automaton's
-name-sorted :class:`~repro.automaton.bitset.TerminalTable` (decode is a
-dict fill, no set construction), items and transitions are flat integer
-arrays over a shared symbol list, and the construction algorithm
-(``"algorithm"``: lalr/ielr/lr1 — minimal and canonical LR(1) automata
-from :mod:`repro.automaton.ielr` serialize through the same writer) is
-recorded. ACTION/GOTO rows are flat coded triples/pairs compressed with
-the row/column equivalence-class encoding of
-:mod:`repro.automaton.compaction` — identical columns collapse into one
-class and identical re-keyed rows are interned, which is where most of a
-big automaton's serialized bytes live.
+The format (version 4) holds what the finder reads and nothing else.
+Lookahead sets are pooled *int bitmasks* over the automaton's
+name-sorted :class:`~repro.automaton.bitset.TerminalTable`, stored in
+state and item order, so decoding fills
+:attr:`~repro.automaton.lalr.LALRAutomaton.masks_by_id` straight from
+the pool. Items and transitions are flat integer arrays over a shared
+symbol list, and whole rows that repeat are interned
+(:func:`intern_rows`). The construction algorithm (``"algorithm"``:
+lalr/ielr/lr1 — minimal and canonical LR(1) automata from
+:mod:`repro.automaton.ielr` serialize through the same writer) is
+recorded. ACTION/GOTO rows are not stored: a decoded automaton builds
+its :attr:`~repro.automaton.lalr.LALRAutomaton.tables` on first read,
+as a fresh one does.
 
 Only the current version decodes; any other raises ``ValueError``. The
 format's one job is to memoize automaton construction in
@@ -48,12 +49,6 @@ from functools import cached_property
 from typing import Any
 
 from repro.automaton.bitset import TerminalTable
-from repro.automaton.compaction import (
-    compact_rows,
-    expand_rows,
-    intern_rows,
-    restore_rows,
-)
 from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.items import Item
 from repro.automaton.lalr import LALRAutomaton
@@ -71,10 +66,7 @@ FORMAT_VERSION = 1
 #: Version of the full-automaton format. Bump on any change to the
 #: encoding below; :mod:`repro.perf.cache` folds it into the cache key,
 #: so stale cache entries self-invalidate.
-FULL_FORMAT_VERSION = 3
-
-#: ACTION opcodes of the flat row encoding.
-_OP_SHIFT, _OP_REDUCE, _OP_ACCEPT, _OP_ERROR = 0, 1, 2, 3
+FULL_FORMAT_VERSION = 4
 
 
 def tables_to_dict(automaton: LALRAutomaton) -> dict[str, Any]:
@@ -185,49 +177,71 @@ def load_tables(text: str, allow_conflicts: bool = False) -> tuple[ParseTables, 
 # The full-automaton format (see the module docstring)
 
 
-def automaton_to_dict(automaton: LALRAutomaton) -> dict[str, Any]:
+def intern_rows(rows: list[list[int]]) -> dict[str, Any]:
+    """Pool unique rows and map each state to its row's index.
+
+    Per-state vectors repeat heavily — half or more of a big grammar's
+    states share a lookahead-pool row or a transition row with another.
+    """
+    pool: list[list[int]] = []
+    pool_index: dict[tuple[int, ...], int] = {}
+    row_ids: list[int] = []
+    for row in rows:
+        signature = tuple(row)
+        row_id = pool_index.get(signature)
+        if row_id is None:
+            row_id = pool_index[signature] = len(pool)
+            pool.append(list(row))
+        row_ids.append(row_id)
+    return {"rows": pool, "map": row_ids}
+
+
+def expand_rows(interned: dict[str, Any]) -> list[list[int]]:
+    """Inverse of :func:`intern_rows`."""
+    pool = interned["rows"]
+    return [pool[row_id] for row_id in interned["map"]]
+
+
+def automaton_to_dict(
+    automaton: LALRAutomaton, grammar_dsl: str | None = None
+) -> dict[str, Any]:
     """A JSON-compatible snapshot of the *whole* automaton.
 
     Captures the grammar (as DSL text — :func:`repro.grammar.emit.dump_grammar`
-    round-trips production order, start symbol, and precedence), the
+    round-trips production order, start symbol, and precedence; a
+    caller that already emitted it passes it as *grammar_dsl*), the
     construction algorithm, the state graph with item sets and flat
     coded transitions, the pooled bitmask lookahead function over the
-    automaton's terminal table, and the fully built parse tables
-    including unresolved conflicts. Parse tables are forced if not yet
-    built.
+    automaton's terminal table, and the unresolved conflicts. Parse
+    tables are neither built nor stored.
     """
     grammar = automaton.grammar
-    tables = automaton.tables  # force, so conflicts are captured
-    from repro.grammar.emit import dump_grammar
+    if grammar_dsl is None:
+        from repro.grammar.emit import dump_grammar
+
+        grammar_dsl = dump_grammar(grammar)
 
     table = automaton.terminal_table
-    terminal_code = table.index
-    masks = automaton.lookahead_masks
+    masks = automaton.masks_by_id
 
-    #: Transition/GOTO symbols get dense codes in first-seen order (the
-    #: state graph's construction order is deterministic, so the dump is).
+    #: Transition symbols get dense codes in first-seen order (the state
+    #: graph's construction order is deterministic, so the dump is).
     symbol_codes: dict[Symbol, int] = {}
     symbol_names: list[str] = []
-
-    def code_of(symbol: Symbol) -> int:
-        code = symbol_codes.get(symbol)
-        if code is None:
-            code = symbol_codes[symbol] = len(symbol_names)
-            symbol_names.append(symbol.name)
-        return code
-
     pool_index: dict[int, int] = {}
     pool: list[int] = []
     states: list[dict[str, Any]] = []
     lookahead_rows: list[list[int]] = []
     trans_rows: list[list[int]] = []
+    node = 0
     for state in automaton.states:
         items_flat: list[int] = []
         row: list[int] = []
         for item in state.items:
             items_flat.append(item.production.index)
             items_flat.append(item.dot)
-            mask = masks[(state.id, item)]
+            mask = masks[node]
+            node += 1
             index = pool_index.get(mask)
             if index is None:
                 index = pool_index[mask] = len(pool)
@@ -235,54 +249,27 @@ def automaton_to_dict(automaton: LALRAutomaton) -> dict[str, Any]:
             row.append(index)
         trans_flat: list[int] = []
         for symbol, target in state.transitions.items():
-            trans_flat.append(code_of(symbol))
+            code = symbol_codes.get(symbol)
+            if code is None:
+                code = symbol_codes[symbol] = len(symbol_names)
+                symbol_names.append(symbol.name)
+            trans_flat.append(code)
             trans_flat.append(target.id)
         states.append({"k": len(state.kernel), "items": items_flat})
         lookahead_rows.append(row)
         trans_rows.append(trans_flat)
 
-    def encode_action_row(row: dict[Terminal, Action]) -> list[int]:
-        flat: list[int] = []
-        for terminal, action in sorted(
-            row.items(), key=lambda pair: terminal_code[pair[0]]
-        ):
-            if isinstance(action, Shift):
-                op, arg = _OP_SHIFT, action.state_id
-            elif isinstance(action, Reduce):
-                op, arg = _OP_REDUCE, action.production.index
-            elif isinstance(action, Accept):
-                op, arg = _OP_ACCEPT, -1
-            else:
-                op, arg = _OP_ERROR, -1
-            flat.extend((terminal_code[terminal], op, arg))
-        return flat
-
-    def encode_goto_row(row: dict[Nonterminal, int]) -> list[int]:
-        flat: list[int] = []
-        for nonterminal, target in sorted(
-            row.items(), key=lambda pair: str(pair[0])
-        ):
-            flat.extend((code_of(nonterminal), target))
-        return flat
-
-    action_rows = [encode_action_row(row) for row in tables.action]
-    goto_rows = [encode_goto_row(row) for row in tables.goto]
     return {
         "full_version": FULL_FORMAT_VERSION,
         "algorithm": automaton.algorithm,
         "grammar": grammar.name,
-        "grammar_dsl": dump_grammar(grammar),
+        "grammar_dsl": grammar_dsl,
         "terminals": [t.name for t in table.terminals],
         "symbols": symbol_names,
         "states": states,
         "la_pool": pool,
-        # Whole-row interning for the remaining per-state vectors:
-        # lookahead-pool rows and transition rows repeat heavily (half
-        # or more of the states of a big grammar share one).
         "lookaheads": intern_rows(lookahead_rows),
         "trans": intern_rows(trans_rows),
-        "action": compact_rows(action_rows, 3, len(table.terminals)),
-        "goto": compact_rows(goto_rows, 2, len(symbol_names)),
         "conflicts": [
             {
                 "state": c.state_id,
@@ -291,10 +278,8 @@ def automaton_to_dict(automaton: LALRAutomaton) -> dict[str, Any]:
                 "reduce": [c.reduce_item.production.index, c.reduce_item.dot],
                 "other": [c.other_item.production.index, c.other_item.dot],
             }
-            for c in tables.conflicts
+            for c in automaton.conflicts
         ],
-        "resolved_count": tables.resolved_count,
-        "used_precedence": sorted(str(t) for t in tables.used_precedence),
     }
 
 
@@ -309,10 +294,10 @@ def automaton_from_dict(
     automaton cache checks this): the automaton is then decoded against
     the caller's own productions, source lines included. States,
     transitions, lookahead masks and conflicts are rebuilt directly,
-    skipping LR(0) construction, the lookahead fixpoint, and table
-    building. The ACTION/GOTO rows are decoded on first use (see
-    :class:`DecodedAutomaton`). A document of any other format version raises
-    ``ValueError`` (which the automaton cache treats as a miss).
+    skipping LR(0) construction, the lookahead pass and conflict
+    detection (see :class:`DecodedAutomaton`). A document of any other
+    format version raises ``ValueError`` (which the automaton cache
+    treats as a miss).
     """
     version = data.get("full_version")
     if version != FULL_FORMAT_VERSION:
@@ -336,41 +321,46 @@ def automaton_from_dict(
     pool = [int(mask) for mask in data["la_pool"]]
 
     # One Item per (production, dot), shared by every state holding it,
-    # as the builder shares them through ``Item.advance``.
-    interned: dict[tuple[int, int], Item] = {}
+    # as the builder shares them through ``Item.advance``: the item of
+    # production p with the dot at d is ``catalog[offsets[p] + d]``.
+    offsets: list[int] = []
+    catalog: list[Item] = []
+    for production in productions:
+        offsets.append(len(catalog))
+        catalog.extend(
+            Item(production, dot) for dot in range(len(production.rhs) + 1)
+        )
 
     def decode_item(index: int, dot: int) -> Item:
-        item = interned.get((index, dot))
-        if item is None:
-            item = interned[(index, dot)] = Item(productions[index], dot)
-        return item
+        return catalog[offsets[index] + dot]
 
     states: list[LR0State] = []
     for state_id, encoded in enumerate(data["states"]):
         raw = encoded["items"]
-        items = tuple(decode_item(raw[i], raw[i + 1]) for i in range(0, len(raw), 2))
+        items = tuple(
+            [catalog[offsets[index] + dot] for index, dot in zip(raw[::2], raw[1::2])]
+        )
         states.append(
             LR0State(id=state_id, kernel=frozenset(items[: encoded["k"]]), items=items)
         )
-    lookahead_masks: dict[tuple[int, Item], int] = {}
+    masks: list[int] = []
     for state, trans, row in zip(
         states, expand_rows(data["trans"]), expand_rows(data["lookaheads"])
     ):
         transitions = state.transitions
         for i in range(0, len(trans), 2):
             transitions[symbols[trans[i]]] = states[trans[i + 1]]
-        state_id = state.id
-        for item, pool_id in zip(state.items, row):
-            lookahead_masks[(state_id, item)] = pool[pool_id]
+        if len(row) != len(state.items):
+            raise ValueError(f"state {state.id}: lookahead row length mismatch")
+        masks.extend([pool[pool_id] for pool_id in row])
 
     # Wire the ``__new__``-made instances together. The nullable/FIRST
-    # analysis, the set-like lookahead views, the adjacency arrays and
-    # the ACTION/GOTO rows all stay lazy — cached consumers that never
-    # touch them never pay for them.
+    # analysis, the ``(state, item)``-keyed lookahead dict and views,
+    # the adjacency arrays and the parse tables all stay lazy — cached
+    # consumers that never touch them never pay for them.
     lr0 = LR0Automaton.__new__(LR0Automaton)
     lr0.grammar = grammar
     lr0.states = states
-    lr0._by_kernel = {state.kernel: state for state in states}
     # Predecessor lists in the order the construction appended them: the
     # LR(0) builder's LIFO expansion for LALR, state ids for the LR(1)
     # quotients. Walks over the reverse graph depend on this order.
@@ -382,7 +372,7 @@ def automaton_from_dict(
     automaton.grammar = grammar
     automaton.lr0 = lr0
     automaton.terminal_table = terminal_table
-    automaton.lookahead_masks = lookahead_masks
+    automaton.masks_by_id = masks
     automaton.algorithm = algorithm
     automaton.conflicts = [
         Conflict(
@@ -394,79 +384,30 @@ def automaton_from_dict(
         )
         for entry in data["conflicts"]
     ]
-    automaton._encoded_tables = {
-        "action": data["action"],
-        "goto": data["goto"],
-        "symbols": symbols,
-        "productions": productions,
-        "resolved_count": data.get("resolved_count", 0),
-        "used_precedence": data.get("used_precedence", ()),
-    }
     return automaton
 
 
 class DecodedAutomaton(LALRAutomaton):
     """An :class:`LALRAutomaton` rebuilt by :func:`automaton_from_dict`.
 
-    States, transitions, lookahead masks and :attr:`conflicts` are
-    decoded up front. The ACTION/GOTO rows stay in their compacted
-    encoding until :attr:`tables` is first read: the counterexample
-    pipeline, the walk and the service read only the conflicts.
+    States, transitions, :attr:`masks_by_id` and :attr:`conflicts` are
+    decoded up front. The ``(state, item)``-keyed :attr:`lookahead_masks`
+    is built from the masks on first use: the finder reads masks by id.
     """
 
-    _encoded_tables: dict[str, Any]
-
     @cached_property
-    def tables(self) -> ParseTables:
-        """The parse tables, decoded from the document on first use."""
-        encoded = self.__dict__.pop("_encoded_tables")
-        terminals = self.terminal_table.terminals
-        symbols: list[Symbol] = encoded["symbols"]
-        productions = encoded["productions"]
-
-        def decode_action_row(flat: list[int]) -> dict[Terminal, Action]:
-            row: dict[Terminal, Action] = {}
-            for i in range(0, len(flat), 3):
-                terminal = terminals[flat[i]]
-                op, arg = flat[i + 1], flat[i + 2]
-                if op == _OP_SHIFT:
-                    row[terminal] = Shift(arg)
-                elif op == _OP_REDUCE:
-                    row[terminal] = Reduce(productions[arg])
-                elif op == _OP_ACCEPT:
-                    row[terminal] = Accept()
-                else:
-                    row[terminal] = ErrorAction()
-            return row
-
-        def decode_goto_row(flat: list[int]) -> dict[Nonterminal, int]:
-            row: dict[Nonterminal, int] = {}
-            for i in range(0, len(flat), 2):
-                symbol = symbols[flat[i]]
-                assert isinstance(symbol, Nonterminal)
-                row[symbol] = flat[i + 1]
-            return row
-
-        return ParseTables(
-            action=[
-                decode_action_row(flat)
-                for flat in restore_rows(encoded["action"], 3)
-            ],
-            goto=[
-                decode_goto_row(flat) for flat in restore_rows(encoded["goto"], 2)
-            ],
-            conflicts=self.conflicts,
-            resolved_count=encoded["resolved_count"],
-            used_precedence=frozenset(
-                Terminal(name) for name in encoded["used_precedence"]
-            ),
-        )
+    def lookahead_masks(self) -> dict[tuple[int, Item], int]:  # type: ignore[override]
+        """The lookahead masks keyed by ``(state id, item)``, built on first use."""
+        index = self.lr0.index
+        return dict(zip(zip(index.state_of, index.item_of), self.masks_by_id))
 
 
-def dump_automaton(automaton: LALRAutomaton) -> str:
+def dump_automaton(automaton: LALRAutomaton, grammar_dsl: str | None = None) -> str:
     """Serialize the full automaton to deterministic JSON text."""
     return json.dumps(
-        automaton_to_dict(automaton), sort_keys=True, separators=(",", ":")
+        automaton_to_dict(automaton, grammar_dsl),
+        sort_keys=True,
+        separators=(",", ":"),
     )
 
 

@@ -9,6 +9,11 @@ Table construction follows yacc/CUP conventions:
 * anything unresolved becomes a :class:`~repro.automaton.conflicts.Conflict`
   and falls back to the yacc defaults (shift beats reduce; the
   earlier-declared production beats the later one).
+
+:func:`find_conflicts` is the one source of conflicts; it needs only the
+lookahead masks. The counterexample finder never reads the ACTION/GOTO
+rows, so :func:`build_tables` runs only for the parsers, lint and the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -103,103 +108,152 @@ def _resolve_shift_reduce(
     return "error"
 
 
+def reduce_lookaheads(automaton, state) -> tuple[list[Item], list[int], int]:
+    """*state*'s reduce items, their lookahead masks, and its shift mask.
+
+    The start production's item is left out (its ``$`` shift is the
+    accept action). The shift mask has a bit for every terminal that
+    labels a transition out of *state*, ``$`` included.
+    """
+    masks = automaton.masks_by_id
+    node = automaton.lr0.index.base[state.id]
+    items: list[Item] = []
+    item_masks: list[int] = []
+    for item in state.items:
+        if item.at_end and item.production.index != 0:
+            items.append(item)
+            item_masks.append(masks[node])
+        node += 1
+    shift_mask = automaton.terminal_table.mask_of(
+        symbol for symbol in state.transitions if symbol.is_terminal
+    )
+    return items, item_masks, shift_mask
+
+
+def find_conflicts(automaton) -> list[Conflict]:
+    """The unresolved conflicts of *automaton*, in ``(state, terminal)`` order.
+
+    Per state, the reduce items' lookahead masks are overlapped with
+    each other and with the terminals the state shifts; only the
+    terminals in some overlap are examined one by one. For each, every
+    pair of reduce items is a reduce/reduce conflict, and — unless
+    precedence decides it — every (reduce item, shift item) pair is a
+    shift/reduce conflict (figure 7 counts two conflicts for one reduce
+    item against two shift items). Precedence is consulted for the
+    earliest-declared reduce item, the one the yacc default reduces by.
+    """
+    terminals = automaton.terminal_table.terminals
+    conflicts: list[Conflict] = []
+    for state in automaton.states:
+        items, masks, shift_mask = reduce_lookaheads(automaton, state)
+        seen = shared = 0
+        for mask in masks:
+            shared |= seen & mask
+            seen |= mask
+        contested = shared | (seen & shift_mask)
+        while contested:
+            bit = contested & -contested
+            contested ^= bit
+            terminal = terminals[bit.bit_length() - 1]
+            reducers = [item for item, mask in zip(items, masks) if mask & bit]
+            for index, first in enumerate(reducers):
+                for second in reducers[index + 1 :]:
+                    conflicts.append(
+                        Conflict(
+                            state_id=state.id,
+                            terminal=terminal,
+                            kind=ConflictKind.REDUCE_REDUCE,
+                            reduce_item=first,
+                            other_item=second,
+                        )
+                    )
+            if not bit & shift_mask:
+                continue
+            chosen = min(reducers, key=lambda reducer: reducer.production.index)
+            if _resolve_shift_reduce(automaton, terminal, chosen.production) is not None:
+                continue
+            shift_items = _find_shift_items(state, terminal)
+            for item in reducers:
+                for shift_item in shift_items:
+                    conflicts.append(
+                        Conflict(
+                            state_id=state.id,
+                            terminal=terminal,
+                            kind=ConflictKind.SHIFT_REDUCE,
+                            reduce_item=item,
+                            other_item=shift_item,
+                        )
+                    )
+    conflicts.sort(key=lambda c: (c.state_id, str(c.terminal)))
+    return conflicts
+
+
 def build_tables(automaton) -> ParseTables:
-    """Construct parse tables for a :class:`~repro.automaton.lalr.LALRAutomaton`."""
+    """Construct parse tables for a :class:`~repro.automaton.lalr.LALRAutomaton`.
+
+    The conflicts are the automaton's own (:func:`find_conflicts`);
+    this fills the entries with their yacc-default or precedence
+    resolutions.
+    """
     grammar = automaton.grammar
+    terminals = automaton.terminal_table.terminals
     num_states = len(automaton.states)
     action: list[dict[Terminal, Action]] = [{} for _ in range(num_states)]
     goto: list[dict[Nonterminal, int]] = [{} for _ in range(num_states)]
-    conflicts: list[Conflict] = []
     resolved = 0
     used_precedence: set[Terminal] = set()
 
     accept_item = Item(grammar.start_production, 1)  # START' -> S . $
 
     for state in automaton.states:
+        row = action[state.id]
         # Transitions: shifts and gotos.
         for symbol, target in state.transitions.items():
             if symbol.is_terminal:
                 assert isinstance(symbol, Terminal)
                 if symbol == END_OF_INPUT and accept_item in state.items:
-                    action[state.id][symbol] = Accept()
+                    row[symbol] = Accept()
                 else:
-                    action[state.id][symbol] = Shift(target.id)
+                    row[symbol] = Shift(target.id)
             else:
                 assert isinstance(symbol, Nonterminal)
                 goto[state.id][symbol] = target.id
 
-        # Reductions, with conflict detection.
-        reduce_items = [
-            item
-            for item in state.items
-            if item.at_end and item.production.index != 0
-        ]
-        reducers: dict[Terminal, list[Item]] = {}
-        for item in reduce_items:
-            for terminal in automaton.lookahead(state, item):
-                reducers.setdefault(terminal, []).append(item)
+        # Reductions: the earliest production wins each terminal (yacc
+        # default); a shift wins unless precedence says otherwise.
+        items, masks, _ = reduce_lookaheads(automaton, state)
+        pending = 0
+        for mask in masks:
+            pending |= mask
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            terminal = terminals[bit.bit_length() - 1]
+            item = min(
+                (reducer for reducer, mask in zip(items, masks) if mask & bit),
+                key=lambda reducer: reducer.production.index,
+            )
+            if terminal not in row:
+                row[terminal] = Reduce(item.production)
+                continue
+            # The state shifts (or accepts) the terminal.
+            resolution = _resolve_shift_reduce(automaton, terminal, item.production)
+            if resolution is None:
+                continue
+            if resolution == "reduce":
+                row[terminal] = Reduce(item.production)
+            elif resolution == "error":
+                row[terminal] = ErrorAction()
+            resolved += 1
+            used_precedence.add(terminal)
+            source = _production_prec_terminal(item.production)
+            if source is not None:
+                used_precedence.add(source)
 
-        for terminal, items in sorted(reducers.items(), key=lambda kv: str(kv[0])):
-            existing = action[state.id].get(terminal)
-            shift_items = _find_shift_items(state, terminal)
-
-            # Reduce/reduce conflicts: every pair of distinct reduce items.
-            for first_index in range(len(items)):
-                for second_index in range(first_index + 1, len(items)):
-                    conflicts.append(
-                        Conflict(
-                            state_id=state.id,
-                            terminal=terminal,
-                            kind=ConflictKind.REDUCE_REDUCE,
-                            reduce_item=items[first_index],
-                            other_item=items[second_index],
-                        )
-                    )
-
-            # Pick the earliest production for the reduce entry (yacc default).
-            chosen = min(items, key=lambda item: item.production.index)
-
-            if isinstance(existing, (Shift, Accept)) and shift_items:
-                resolution = _resolve_shift_reduce(
-                    automaton, terminal, chosen.production
-                )
-                if resolution is None:
-                    # Unresolved: record a conflict per (reduce item, shift
-                    # item) pair, as the paper does (figure 7 counts two
-                    # conflicts for one reduce item against two shift
-                    # items); the shift wins by default.
-                    for item in items:
-                        for shift_item in shift_items:
-                            conflicts.append(
-                                Conflict(
-                                    state_id=state.id,
-                                    terminal=terminal,
-                                    kind=ConflictKind.SHIFT_REDUCE,
-                                    reduce_item=item,
-                                    other_item=shift_item,
-                                )
-                            )
-                elif resolution == "reduce":
-                    action[state.id][terminal] = Reduce(chosen.production)
-                    resolved += 1
-                elif resolution == "error":
-                    action[state.id][terminal] = ErrorAction()
-                    resolved += 1
-                else:  # Shift wins; keep the existing entry.
-                    resolved += 1
-                if resolution is not None:
-                    used_precedence.add(terminal)
-                    source = _production_prec_terminal(chosen.production)
-                    if source is not None:
-                        used_precedence.add(source)
-            elif existing is None:
-                action[state.id][terminal] = Reduce(chosen.production)
-
-    conflicts.sort(key=lambda c: (c.state_id, str(c.terminal)))
     return ParseTables(
         action=action,
         goto=goto,
-        conflicts=conflicts,
+        conflicts=automaton.conflicts,
         resolved_count=resolved,
         used_precedence=frozenset(used_precedence),
     )

@@ -14,14 +14,12 @@ a nonunifying counterexample the yields share a prefix up to the dot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.grammar import END_OF_INPUT, Production, Symbol
 from repro.parsing.tree import ParseTree, leaf as tree_leaf, node as tree_node
 
 
-@dataclass(frozen=True)
 class Derivation:
     """A derivation node.
 
@@ -31,30 +29,47 @@ class Derivation:
     :data:`DOT` marker in addition to one sub-derivation per right-hand
     side symbol.
 
-    Hashes are cached bottom-up at construction (deep derivations arise
-    during long searches; hashing must not recurse).
+    Nodes are immutable by convention and compare by value. Hashes are
+    cached bottom-up at construction (deep derivations arise during long
+    searches; hashing must not recurse). Slots, not a per-node
+    ``__dict__``: a long search keeps hundreds of thousands alive.
     """
 
-    symbol: Symbol | None
-    children: tuple["Derivation", ...] | None = None
-    production: Production | None = None
+    __slots__ = ("symbol", "children", "production", "_hash")
 
-    def __post_init__(self) -> None:
-        child_hashes = (
-            None
-            if self.children is None
-            else tuple(child._hash for child in self.children)  # type: ignore[attr-defined]
+    def __init__(
+        self,
+        symbol: Symbol | None,
+        children: tuple["Derivation", ...] | None = None,
+        production: Production | None = None,
+    ) -> None:
+        self.symbol = symbol
+        self.children = children
+        self.production = production
+        self._hash = hash(
+            (
+                symbol,
+                None if children is None else tuple(child._hash for child in children),
+                None if production is None else production.index,
+            )
         )
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(
-                (
-                    self.symbol,
-                    child_hashes,
-                    None if self.production is None else self.production.index,
-                )
-            ),
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        return (self.symbol, self.children, self.production) == (
+            other.symbol,
+            other.children,
+            other.production,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"Derivation(symbol={self.symbol!r}, children={self.children!r}, "
+            f"production={self.production!r})"
         )
 
     @property
@@ -137,9 +152,6 @@ class Derivation:
             return (_restore_dot, ())
         return (Derivation, (self.symbol, self.children, self.production))
 
-
-# Replace the dataclass-generated recursive hash with the cached one.
-Derivation.__hash__ = lambda self: self._hash  # type: ignore[method-assign, attr-defined]
 
 #: The conflict-point marker.
 DOT = Derivation(None)

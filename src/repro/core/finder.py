@@ -361,9 +361,9 @@ class CounterexampleFinder:
     def _stub(
         self, conflict: Conflict, path: list[LASGEdge] | None
     ) -> ConflictStub:
-        lookaheads = self.automaton.lookaheads.get(
-            (conflict.state_id, conflict.reduce_item), frozenset()
-        )
+        automaton = self.automaton
+        node = automaton.lr0.index.id_of(conflict.state_id, conflict.reduce_item)
+        lookaheads = automaton.terminal_table.view(automaton.masks_by_id[node])
         return ConflictStub(
             conflict=conflict,
             lookaheads=lookaheads,

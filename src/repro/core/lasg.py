@@ -204,8 +204,8 @@ class LookaheadSensitiveGraph:
         if self._estimate_recorded:
             return
         self._estimate_recorded = True
-        masks = self.automaton.lookahead_masks
-        distinct_masks = len(set(masks.values())) or 1
+        masks = self.automaton.masks_by_id
+        distinct_masks = len(set(masks)) or 1
         metrics.count("lasg.vertices.estimated_full", len(masks) * distinct_masks)
 
     # ------------------------------------------------------------------ #

@@ -75,7 +75,7 @@ PHASES = [
     "analysis",
     "analysis/sr",
     "analysis/walk",
-    "tables",
+    "conflicts",
     "explain",
     "explain/lasg",
     "explain/search",
@@ -346,7 +346,7 @@ def cache_check(grammar_name: str = "Java.1", min_speedup: float = 2.0) -> int:
 
         start = time.perf_counter()
         automaton = build_lalr(grammar)
-        _ = automaton.tables
+        _ = automaton.conflicts
         build_s = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -121,11 +121,11 @@ class AutomatonCache:
         self.misses = 0
         self.quarantined = 0
         self.write_failures = 0
-        #: The entry text and raw ``"ambiguity"`` block (or ``None``)
-        #: behind each automaton this cache decoded or stored, so the
-        #: verdict calls neither re-read nor re-parse the entry.
+        #: The entry path, text and raw ``"ambiguity"`` block (or
+        #: ``None``) behind each automaton this cache decoded or stored,
+        #: so the verdict calls neither re-read nor re-parse the entry.
         self._entries: weakref.WeakKeyDictionary[
-            LALRAutomaton, tuple[str, Any]
+            LALRAutomaton, tuple[Path, str, Any]
         ] = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------ #
@@ -200,16 +200,23 @@ class AutomatonCache:
             except OSError:
                 pass
 
-    def get(self, grammar: Grammar, algorithm: str = "lalr") -> LALRAutomaton | None:
+    def get(
+        self,
+        grammar: Grammar,
+        algorithm: str = "lalr",
+        canonical: str | None = None,
+    ) -> LALRAutomaton | None:
         """The cached automaton for *grammar*, or ``None`` on a miss.
 
         Corrupt, truncated, or unreadable entries count as misses; the
         offending file is quarantined (renamed aside) so it is rebuilt
         once instead of re-parsed on every request. An entry whose
         recorded construction algorithm disagrees with the requested one
-        (hash collision or hand-edited file) is also a miss.
+        (hash collision or hand-edited file) is also a miss. *canonical*
+        is ``dump_grammar(grammar)`` when the caller already has it.
         """
-        canonical = dump_grammar(grammar)
+        if canonical is None:
+            canonical = dump_grammar(grammar)
         path = self._path_for(_fingerprint(canonical, algorithm))
         try:
             text = path.read_text()
@@ -241,21 +248,30 @@ class AutomatonCache:
             return None
         self.hits += 1
         metrics.count("cache.hit")
-        self._entries[automaton] = (text, document.get("ambiguity"))
+        self._entries[automaton] = (path, text, document.get("ambiguity"))
         return automaton
 
-    def put(self, grammar: Grammar, automaton: LALRAutomaton) -> Path:
+    def put(
+        self,
+        grammar: Grammar,
+        automaton: LALRAutomaton,
+        canonical: str | None = None,
+    ) -> Path:
         """Store *automaton* under *grammar*'s fingerprint (atomically).
 
         Concurrent writers of the same fingerprint serialize identical
         content, so whichever ``os.replace`` lands last is as good as the
         first; an OS-level race is absorbed as a benign non-write.
+        *canonical* is ``dump_grammar(grammar)`` when the caller already
+        has it.
         """
-        path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
+        if canonical is None:
+            canonical = dump_grammar(grammar)
+        path = self._path_for(_fingerprint(canonical, automaton.algorithm))
         with metrics.span("cache/encode"):
-            text = dump_automaton(automaton)
+            text = dump_automaton(automaton, canonical)
         self._atomic_write(path, text)
-        self._entries[automaton] = (text, None)
+        self._entries[automaton] = (path, text, None)
         return path
 
     def get_verdicts(
@@ -274,7 +290,7 @@ class AutomatonCache:
         """
         entry = self._entries.get(automaton)
         if entry is not None:
-            block = entry[1]
+            block = entry[2]
         else:
             path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
             try:
@@ -336,10 +352,12 @@ class AutomatonCache:
         }
         entry = self._entries.get(automaton)
         if entry is not None:
-            text, previous = entry
+            path, text, previous = entry
         else:
+            canonical = dump_grammar(grammar)
+            path = self._path_for(_fingerprint(canonical, automaton.algorithm))
             with metrics.span("cache/encode"):
-                text, previous = dump_automaton(automaton), None
+                text, previous = dump_automaton(automaton, canonical), None
         if previous is None and text.endswith("}"):
             # A compact entry without a block: the block goes last, where
             # re-serializing the parsed document with it would put it.
@@ -349,11 +367,10 @@ class AutomatonCache:
             document = json.loads(text)
             document["ambiguity"] = block
             text = json.dumps(document, separators=(",", ":"))
-        path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
         if not self._atomic_write(path, text):
             return None
         if entry is not None:
-            self._entries[automaton] = (text, block)
+            self._entries[automaton] = (path, text, block)
         return path
 
     def clear(self) -> int:
@@ -406,8 +423,9 @@ def build_automaton_cached(
     With ``cache=None`` this is exactly ``build_automaton`` — callers
     can thread an optional cache without branching. *algorithm* defaults
     to the grammar's own ``table_algorithm``. On a miss the freshly
-    built automaton (tables forced, so conflicts are captured) is stored
-    before being returned.
+    built automaton is stored before being returned. The grammar's
+    canonical DSL is emitted once, for the lookup key, the store key and
+    the entry.
     """
     from repro.automaton.ielr import build_automaton
     from repro.grammar import normalize_algorithm
@@ -417,10 +435,11 @@ def build_automaton_cached(
     )
     if cache is None:
         return build_automaton(grammar, algorithm)
-    cached = cache.get(grammar, algorithm)
+    canonical = dump_grammar(grammar)
+    cached = cache.get(grammar, algorithm, canonical=canonical)
     if cached is not None:
         return cached
     automaton = build_automaton(grammar, algorithm)
-    cache.put(grammar, automaton)
+    cache.put(grammar, automaton, canonical=canonical)
     return automaton
 

@@ -6,9 +6,9 @@ consumer what a fresh build gives it:
 * the predecessor lists in the construction's order — the SR walk
   spends its node budget in that order, so a different order can move
   a verdict between ``ambiguous`` and ``inconclusive``;
-* the ACTION/GOTO tables, decoded on first read, equal to the built
-  ones, with the conflict list shared between ``tables`` and
-  ``automaton.conflicts``;
+* the ACTION/GOTO tables, built on first read from the decoded masks,
+  equal to the built ones, with the conflict list shared between
+  ``tables`` and ``automaton.conflicts``;
 * the same walk verdicts, including on the fuzz grammars whose verdicts
   once depended on how the automaton was loaded.
 """

@@ -89,7 +89,6 @@ class TestFullAutomatonFormat:
         from repro.automaton.serialize import dump_automaton, load_automaton
 
         automaton = build_lalr(grammar)
-        _ = automaton.tables
         return automaton, load_automaton(dump_automaton(automaton))
 
     def test_states_and_transitions_identical(self, figure1):
@@ -320,28 +319,17 @@ class TestV1Fallback:
 
 
 class TestFormatV3:
-    """Specifics of the v3 layout: pooled int masks, flat coded items and
-    transitions, column classes + row pools for the tables."""
+    """The layout v3 introduced and v4 keeps: pooled int masks, flat
+    coded items and transitions, interned rows."""
 
     def _payload(self, grammar):
         from repro.automaton.serialize import automaton_to_dict
 
         automaton = build_lalr(grammar)
-        _ = automaton.tables
         return automaton, automaton_to_dict(automaton)
-
-    def test_version_marker_is_3(self, figure1):
-        from repro.automaton.serialize import FULL_FORMAT_VERSION
-
-        _, payload = self._payload(figure1)
-        assert FULL_FORMAT_VERSION == 3
-        assert payload["full_version"] == 3
-        assert payload["algorithm"] == "lalr"
 
     def test_tables_are_pooled(self, figure1):
         _, payload = self._payload(figure1)
-        for table in (payload["action"], payload["goto"]):
-            assert set(table) == {"cols", "rows", "map"}
         for interned in (payload["lookaheads"], payload["trans"]):
             assert set(interned) == {"rows", "map"}
         # Per-state transition vectors moved to the interned top-level
@@ -349,7 +337,7 @@ class TestFormatV3:
         assert all("trans" not in state for state in payload["states"])
 
     def test_lookahead_pool_holds_int_masks(self, figure1):
-        from repro.automaton.compaction import expand_rows
+        from repro.automaton.serialize import expand_rows
 
         automaton, payload = self._payload(figure1)
         assert payload["la_pool"]
@@ -365,20 +353,16 @@ class TestFormatV3:
                 )
 
     def test_transitions_and_tables_are_flat_coded(self, figure1):
-        from repro.automaton.compaction import expand_rows, restore_rows
+        from repro.automaton.serialize import expand_rows
 
         _, payload = self._payload(figure1)
         for state in payload["states"]:
             assert all(isinstance(v, int) for v in state["items"])
             assert len(state["items"]) % 2 == 0
+        for table in (payload["trans"], payload["lookaheads"]):
+            for row in expand_rows(table):
+                assert all(isinstance(v, int) for v in row)
         for row in expand_rows(payload["trans"]):
-            assert all(isinstance(v, int) for v in row)
-            assert len(row) % 2 == 0
-        for row in restore_rows(payload["action"], 3):
-            assert all(isinstance(v, int) for v in row)
-            assert len(row) % 3 == 0
-        for row in restore_rows(payload["goto"], 2):
-            assert all(isinstance(v, int) for v in row)
             assert len(row) % 2 == 0
 
     def test_terminal_table_round_trips(self, figure1):
@@ -389,6 +373,7 @@ class TestFormatV3:
         assert loaded.terminal_table.terminals == (
             automaton.terminal_table.terminals
         )
+        assert loaded.masks_by_id == automaton.masks_by_id
         assert loaded.lookahead_masks == automaton.lookahead_masks
 
     def test_ielr_automaton_round_trips(self):
@@ -397,7 +382,6 @@ class TestFormatV3:
         from repro.corpus import load as load_corpus
 
         automaton = build_ielr(load_corpus("nonlalr01"))
-        _ = automaton.tables
         text = dump_automaton(automaton)
         loaded = load_automaton(text)
         assert loaded.algorithm == "ielr"
@@ -415,8 +399,94 @@ class TestFormatV3:
         )
 
         automaton = build_lalr(figure1)
-        _ = automaton.tables
         payload = automaton_to_dict(automaton)
         del payload["algorithm"]
         with pytest.raises(KeyError, match="algorithm"):
             automaton_from_dict(payload)
+
+
+def _encode_v3(automaton):
+    """*automaton*'s current document re-shaped as a v3 one: the version
+    marker and the compacted ACTION/GOTO blocks and precedence fields
+    that v4 dropped (their contents do not matter to the reader)."""
+    from repro.automaton.serialize import automaton_to_dict
+
+    payload = automaton_to_dict(automaton)
+    payload["full_version"] = 3
+    payload["action"] = {"cols": [], "rows": [], "map": []}
+    payload["goto"] = {"cols": [], "rows": [], "map": []}
+    payload["resolved_count"] = 0
+    payload["used_precedence"] = []
+    return payload
+
+
+class TestFormatV4:
+    """v4 stores what the finder reads: no ACTION/GOTO rows."""
+
+    def test_version_marker_is_4(self, figure1):
+        from repro.automaton.serialize import FULL_FORMAT_VERSION, automaton_to_dict
+
+        payload = automaton_to_dict(build_lalr(figure1))
+        assert FULL_FORMAT_VERSION == 4
+        assert payload["full_version"] == 4
+        assert payload["algorithm"] == "lalr"
+
+    def test_entry_holds_no_parse_tables(self, figure1):
+        from repro.automaton.serialize import automaton_to_dict
+
+        automaton = build_lalr(figure1)
+        payload = automaton_to_dict(automaton)
+        assert "tables" not in automaton.__dict__
+        for key in ("action", "goto", "resolved_count", "used_precedence"):
+            assert key not in payload
+        assert len(payload["conflicts"]) == len(automaton.conflicts) == 3
+
+    def test_v3_document_is_rejected(self, figure1):
+        from repro.automaton.serialize import automaton_from_dict
+
+        with pytest.raises(ValueError, match="version 3"):
+            automaton_from_dict(_encode_v3(build_lalr(figure1)))
+
+    def test_v3_cache_entry_is_a_clean_miss(self, figure1, tmp_path):
+        """A v3 entry sits under a v3 fingerprint, which a v4 reader
+        never looks up; and were one found at the current key, it would
+        be rejected and quarantined. Either way: a miss and a rebuild."""
+        import hashlib
+        import json
+
+        from repro.analysis import ANALYSIS_VERSION
+        from repro.grammar.emit import dump_grammar
+        from repro.perf.cache import (
+            AutomatonCache,
+            build_automaton_cached,
+            grammar_fingerprint,
+        )
+
+        document = json.dumps(_encode_v3(build_lalr(figure1)))
+        v3_key = hashlib.sha256(
+            f"repro.automaton/3/a{ANALYSIS_VERSION}/lalr\n"
+            f"{dump_grammar(figure1)}".encode()
+        ).hexdigest()
+        assert v3_key != grammar_fingerprint(figure1)
+        cache = AutomatonCache(tmp_path)
+        (tmp_path / f"{v3_key}.json").write_text(document)
+        build_automaton_cached(figure1, cache, "lalr")
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 0)
+
+        current = tmp_path / f"{grammar_fingerprint(figure1)}.json"
+        current.write_text(document)
+        rebuilt = build_automaton_cached(figure1, cache, "lalr")
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 2, 1)
+        assert len(rebuilt.conflicts) == 3
+        assert build_automaton_cached(figure1, cache, "lalr") is not None
+        assert cache.hits == 1
+
+
+class TestInternRows:
+    def test_round_trip(self):
+        from repro.automaton.serialize import expand_rows, intern_rows
+
+        rows = [[1, 2], [], [1, 2], [3]]
+        interned = intern_rows(rows)
+        assert expand_rows(interned) == rows
+        assert len(interned["rows"]) == 3

@@ -80,3 +80,31 @@ class TestConversion:
         e, plus = Nonterminal("e"), Terminal("+")
         node = dnode(plus_production, [dleaf(e), DOT, dleaf(plus), dleaf(e)])
         assert node.size() == 4
+
+
+class TestValueSemantics:
+    def _node(self, production, dot_at):
+        e, plus = Nonterminal("e"), Terminal("+")
+        children = [dleaf(e), dleaf(plus), dleaf(e)]
+        children.insert(dot_at, DOT)
+        return dnode(production, children)
+
+    def test_equal_by_value_with_equal_hashes(self, plus_production):
+        first, second = self._node(plus_production, 1), self._node(plus_production, 1)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != self._node(plus_production, 2)
+        assert dleaf(Terminal("x")) != Terminal("x")
+
+    def test_pickle_round_trip_keeps_the_dot_singleton(self, plus_production):
+        import pickle
+
+        node = self._node(plus_production, 1)
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy == node and hash(copy) == hash(node)
+        assert copy.children[1] is DOT
+
+    def test_nodes_have_slots_not_a_dict(self, plus_production):
+        node = self._node(plus_production, 1)
+        assert not hasattr(node, "__dict__")
+        assert str(node) == node.render()
