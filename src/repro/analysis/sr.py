@@ -11,14 +11,14 @@ whether a conflict can produce two distinct parses of one sentence.
 :class:`SRAutomaton` extracts that view once per automaton, reusing the
 structures the rest of the library already maintains:
 
-* shift edges and reduce-goto edges come from the array-backed adjacency
-  (:attr:`~repro.automaton.lr0.LR0Automaton.arrays`);
+* shift edges and reduce-goto edges come from the states' transitions;
 * reduce applicability is a single ``mask & bit`` test over the bitset
   lookaheads (:attr:`~repro.automaton.lalr.LALRAutomaton.masks_by_id`);
 * context expansion (walking *below* a suffix stack) uses the predecessor
-  arrays plus the LR(0) invariant that every state has a unique entry
-  symbol, so the states beneath any suffix form a regular language the
-  walk can enumerate lazily.
+  ids (:attr:`~repro.automaton.lr0.LR0Automaton.predecessors`) plus the
+  LR(0) invariant that every state has a unique entry symbol, so the
+  states beneath any suffix form a regular language the walk can
+  enumerate lazily.
 
 Acceptance is uniform: the augmented production ``START' -> S $`` makes
 end-of-input an ordinary shift edge, so "both sides accept" is "both
@@ -46,8 +46,8 @@ class SRAutomaton:
             shift).
         entry_symbols: Per state id, the unique symbol labelling every
             transition *into* the state (``None`` for the start state).
-        predecessor_ids: Per state id, the ids of states with an edge
-            into it — always on the entry symbol.
+        predecessor_ids: ``lr0.predecessors``: per state id, the ids of
+            states with an edge into it — always on the entry symbol.
     """
 
     def __init__(self, automaton: LALRAutomaton) -> None:
@@ -58,15 +58,13 @@ class SRAutomaton:
             self.full_mask = table.mask_of(
                 terminal for terminal in automaton.grammar.terminals
             ) | self.end_bit
-            self._arrays = automaton.lr0.arrays
-            states = automaton.states
+            self._states = states = automaton.states
             masks = automaton.masks_by_id
             base = automaton.lr0.index.base
 
             shift_masks: list[int] = []
             reduces: list[tuple[tuple[Production, int, Symbol, int], ...]] = []
             entry_symbols: list[Symbol | None] = []
-            predecessor_ids: list[tuple[int, ...]] = []
             for state in states:
                 shift_masks.append(
                     table.mask_of(
@@ -97,34 +95,27 @@ class SRAutomaton:
                         entry = item.production.rhs[item.dot - 1]
                         break
                 entry_symbols.append(entry)
-            for state in states:
-                entry = entry_symbols[state.id]
-                predecessor_ids.append(
-                    self._arrays.predecessor_ids(state.id, entry)
-                    if entry is not None
-                    else ()
-                )
-            shift_targets: list[dict[int, int]] = []
-            for state in states:
-                targets: dict[int, int] = {}
-                for symbol in state.transitions:
-                    if symbol.is_terminal:
-                        targets[table.bit_of(symbol)] = self._arrays.goto_id(
-                            state.id, symbol
-                        )
-                shift_targets.append(targets)
+            shift_targets: list[dict[int, int]] = [
+                {
+                    table.bit_of(symbol): target.id
+                    for symbol, target in state.transitions.items()
+                    if symbol.is_terminal
+                }
+                for state in states
+            ]
             self.shift_masks = shift_masks
             self.shift_targets = shift_targets
             self.reduces = reduces
             self.entry_symbols = entry_symbols
-            self.predecessor_ids = predecessor_ids
+            self.predecessor_ids = automaton.lr0.predecessors
             metrics.count("analysis.sr.states", len(states))
 
     # ------------------------------------------------------------------ #
 
     def goto_id(self, state_id: int, symbol: Symbol) -> int:
         """Target of the *symbol* edge out of *state_id* (``-1`` if none)."""
-        return self._arrays.goto_id(state_id, symbol)
+        target = self._states[state_id].transitions.get(symbol)
+        return -1 if target is None else target.id
 
     def terminal_bit(self, terminal) -> int:
         return self.automaton.terminal_bit(terminal)

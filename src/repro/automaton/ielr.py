@@ -113,14 +113,14 @@ class IELRAutomaton(LALRAutomaton):
         grammar: Grammar,
         algorithm: str,
         states: list[LR0State],
-        lookahead_masks: dict[tuple[int, Item], int],
+        masks_by_id: list[int],
         terminal_table: TerminalTable,
         canonical_state_count: int,
     ) -> None:
         self.grammar = grammar
         self.algorithm = algorithm
         self.terminal_table = terminal_table
-        self.lookahead_masks = lookahead_masks
+        self.masks_by_id = masks_by_id
         #: Size of the canonical LR(1) collection the quotient came from.
         self.canonical_state_count = canonical_state_count
 
@@ -372,21 +372,20 @@ def _quotient(grammar: Grammar, algorithm: str, lr1: LR1Automaton) -> IELRAutoma
                 worklist.append(target)
 
     bit_of = table.bit_of
-    lookahead_masks: dict[tuple[int, Item], int] = {}
+    masks: list[int] = []
     for state in states:
+        # Filled in ``state.items`` order, which is id order.
         item_masks: dict[Item, int] = {item: 0 for item in state.items}
         for sid in state.members:
             for item, lookahead in lr1.states[sid].items:
                 item_masks[item] |= bit_of(lookahead)
-        state_id = state.id
-        for item, mask in item_masks.items():
-            lookahead_masks[(state_id, item)] = mask
+        masks.extend(item_masks.values())
 
     return IELRAutomaton(
         grammar=grammar,
         algorithm=algorithm,
         states=list(states),
-        lookahead_masks=lookahead_masks,
+        masks_by_id=masks,
         terminal_table=table,
         canonical_state_count=len(lr1.states),
     )

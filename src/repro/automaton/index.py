@@ -19,8 +19,8 @@ build costs more than a small grammar's whole explanation:
 * :meth:`StateItemIndex.production_parents` — for a dot-0 item, the items
   ``A -> α . B β`` of the same state that step into it, in state order;
 * :meth:`StateItemIndex.reverse_transitions` — the retreated item in each
-  predecessor state, aligned with the state's predecessors on the
-  symbol (``-1`` where the predecessor lacks it).
+  predecessor state, aligned with the state's predecessors
+  (``-1`` where the predecessor lacks it).
 
 The index depends on the LR(0) structure only, so it lives on the
 :class:`~repro.automaton.lr0.LR0Automaton` and works the same on
@@ -204,22 +204,16 @@ class StateItemIndex:
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(predecessor state ids, retreated-item ids)``, aligned.
 
-        The first tuple holds the ids of the states with an X-edge into
-        *node*'s state, in ``lr0.predecessors`` order, for *node* =
-        ``A -> α X . β``; the second holds the id of ``A -> α . X β`` in
-        each of those states, or ``-1`` where the state lacks it. Both
-        are empty for dot-0 items.
+        The first tuple is ``lr0.predecessors`` of *node*'s state — every
+        edge into it is on X, for *node* = ``A -> α X . β``; the second
+        holds the id of ``A -> α . X β`` in each of those states, or
+        ``-1`` where the state lacks it. Both are empty for dot-0 items.
         """
         reverse = self._reverse[node]
         if reverse is None:
             reverse = ((), ())
             if not self.at_start[node]:
-                item = self.item_of[node]
-                symbol = item.production.rhs[item.dot - 1]
-                preds = tuple(
-                    pred.id
-                    for pred in self._predecessors[self.state_of[node]].get(symbol, ())
-                )
+                preds = self._predecessors[self.state_of[node]]
                 number = self.item_number[node] - 1
                 reverse = (
                     preds,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from repro.automaton.bitset import LookaheadBitset, TerminalTable
+from repro.automaton.conflicts import Conflict
 from repro.automaton.items import Item
 from repro.automaton.lr0 import LR0Automaton, LR0State
 from repro.perf import metrics
@@ -37,8 +38,8 @@ def compute_lalr_lookahead_masks(
     automaton: LR0Automaton,
     analysis: GrammarAnalysis,
     table: TerminalTable,
-) -> dict[tuple[int, Item], int]:
-    """LALR(1) lookaheads as int bitmasks over *table*.
+) -> list[int]:
+    """LALR(1) lookaheads as int bitmasks over *table*, indexed by id.
 
     The channels form a propagation graph over the automaton's dense
     ``(state, item)`` ids (:class:`~repro.automaton.index.StateItemIndex`):
@@ -132,7 +133,7 @@ def compute_lalr_lookahead_masks(
                         depth[caller] = depth[node]
                     masks[caller] |= masks[node]
 
-    return dict(zip(zip(index.state_of, index.item_of), masks))
+    return masks
 
 
 class LALRAutomaton:
@@ -155,10 +156,11 @@ class LALRAutomaton:
             with metrics.span("lr0"):
                 self.lr0 = LR0Automaton(grammar)
             with metrics.span("lookaheads"):
-                self.lookahead_masks: dict[tuple[int, Item], int] = (
-                    compute_lalr_lookahead_masks(
-                        self.lr0, self.analysis, self.terminal_table
-                    )
+                #: Lookahead masks indexed by ``lr0.index`` id. The
+                #: minimal/canonical LR(1) quotient and the cache decoder
+                #: set this list too.
+                self.masks_by_id: list[int] = compute_lalr_lookahead_masks(
+                    self.lr0, self.analysis, self.terminal_table
                 )
         metrics.count("automaton.states", len(self.lr0.states))
         metrics.count(
@@ -196,46 +198,16 @@ class LALRAutomaton:
     def goto(self, state: LR0State, symbol) -> LR0State | None:
         return self.lr0.goto(state, symbol)
 
-    @cached_property
-    def lookaheads(self) -> dict[tuple[int, Item], LookaheadBitset]:
-        """Set-like lookahead views for every ``(state id, item)`` pair.
-
-        Views are interned per distinct mask and compare/hash exactly
-        like the frozensets they replaced, so report rendering and tests
-        written against the frozenset era are unchanged. Built lazily:
-        the hot paths consult :attr:`lookahead_masks` directly and never
-        force this materialisation.
-        """
-        view = self.terminal_table.view
-        return {key: view(mask) for key, mask in self.lookahead_masks.items()}
-
     def lookahead(self, state: LR0State | int, item: Item) -> LookaheadBitset:
-        """The LALR(1) lookahead set of *item* within *state*."""
-        state_id = state if isinstance(state, int) else state.id
-        return self.lookaheads[(state_id, item)]
+        """The LALR(1) lookahead set of *item* within *state*.
 
-    @cached_property
-    def masks_by_id(self) -> list[int]:
-        """:attr:`lookahead_masks` as a list indexed by ``lr0.index`` id.
-
-        Every builder fills the dict state by state in ``state.items``
-        order, which is id order; the keys are checked by identity and
-        looked up only if that ever fails. The cache decoder fills this
-        list directly.
+        A set-like view that compares and hashes like a ``frozenset``;
+        the hot paths read :attr:`masks_by_id` directly.
         """
-        index = self.lr0.index
-        masks = self.lookahead_masks
-        keys = list(masks)
-        if len(keys) == len(index) and all(
-            key[0] == state_id and key[1] is item
-            for key, state_id, item in zip(keys, index.state_of, index.item_of)
-        ):
-            return list(masks.values())
-        return [masks[pair] for pair in zip(index.state_of, index.item_of)]
-
-    def lookahead_mask(self, state_id: int, item: Item) -> int:
-        """The lookahead of ``(state_id, item)`` as a raw int bitmask."""
-        return self.lookahead_masks[(state_id, item)]
+        state_id = state if isinstance(state, int) else state.id
+        return self.terminal_table.view(
+            self.masks_by_id[self.lr0.index.id_of(state_id, item)]
+        )
 
     def terminal_bit(self, terminal: Terminal) -> int:
         """Single-bit mask for *terminal* (0 when unknown to the grammar)."""
@@ -277,21 +249,54 @@ class LALRAutomaton:
             return build_tables(self)
 
     @cached_property
-    def conflicts(self):
+    def _conflict_pass(self):
+        from repro.automaton.tables import find_conflicts
+
+        with metrics.span("conflicts"):
+            found = find_conflicts(self)
+        metrics.count("automaton.conflicts", len(found[0]))
+        return found
+
+    @property
+    def conflicts(self) -> list[Conflict]:
         """Unresolved conflicts, in (state, terminal) order.
 
         Found from the lookahead masks alone
         (:func:`~repro.automaton.tables.find_conflicts`), without the
-        ACTION/GOTO rows; ``tables.conflicts`` is this same list. An
-        automaton decoded from the cache (:mod:`repro.automaton.serialize`)
-        carries it from the document.
+        ACTION/GOTO rows, on built and cache-decoded automata alike;
+        ``tables.conflicts`` is this same list.
         """
-        from repro.automaton.tables import find_conflicts
+        return self._conflict_pass[0]
 
-        with metrics.span("conflicts"):
-            conflicts = find_conflicts(self)
-        metrics.count("automaton.conflicts", len(conflicts))
-        return conflicts
+    @property
+    def resolutions(self) -> dict[tuple[int, Terminal], tuple[str, Production]]:
+        """The shift/reduce overlaps precedence decided.
+
+        ``(state id, terminal) -> (resolution, production)``, where the
+        resolution is ``"shift"``, ``"reduce"`` or ``"error"`` and the
+        production is the one the state reduces by. Found by the same
+        pass as :attr:`conflicts`; their count is the number of entries
+        the tables resolve silently.
+        """
+        return self._conflict_pass[1]
+
+    @cached_property
+    def used_precedence(self) -> frozenset[Terminal]:
+        """Every terminal whose precedence level decided some overlap.
+
+        Both the lookahead terminal and the terminal that sets the
+        production's level count; declarations outside this set never
+        influence the tables.
+        """
+        from repro.automaton.tables import production_prec_terminal
+
+        used: set[Terminal] = set()
+        for (_, terminal), (_, production) in self.resolutions.items():
+            used.add(terminal)
+            source = production_prec_terminal(production)
+            if source is not None:
+                used.add(source)
+        return frozenset(used)
 
     @cached_property
     def lookups(self):

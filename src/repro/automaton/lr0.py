@@ -8,7 +8,6 @@ outgoing transitions.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -95,21 +94,20 @@ def closure(
 
 def predecessor_map(
     states: list[LR0State], sources: Iterable[LR0State]
-) -> dict[int, dict[Symbol, list[LR0State]]]:
-    """The reverse transition graph: ``map[s.id][X]`` = states with an X-edge into s.
+) -> list[tuple[int, ...]]:
+    """The reverse transition graph: ``map[s.id]`` = ids of the states with an edge into s.
 
-    Each list holds its sources in the order *sources* visits them (and,
-    within one source, in its transition order). Walks over the reverse
-    graph follow these lists, so a decoded automaton must visit the
-    states in the order its construction did.
+    Every edge into a state carries its entry symbol (the symbol its
+    kernel items just moved over), so one id tuple per state says it
+    all. Each tuple holds its sources in the order *sources* visits
+    them. Walks over the reverse graph follow these tuples, so a decoded
+    automaton must visit the states in the order its construction did.
     """
-    predecessors: dict[int, dict[Symbol, list[LR0State]]] = {
-        state.id: {} for state in states
-    }
+    predecessors: list[list[int]] = [[] for _ in states]
     for state in sources:
-        for symbol, target in state.transitions.items():
-            predecessors[target.id].setdefault(symbol, []).append(state)
-    return predecessors
+        for target in state.transitions.values():
+            predecessors[target.id].append(state.id)
+    return [tuple(ids) for ids in predecessors]
 
 
 def expansion_order(states: list[LR0State]) -> list[LR0State]:
@@ -133,65 +131,6 @@ def expansion_order(states: list[LR0State]) -> list[LR0State]:
     return order
 
 
-class AdjacencyArrays:
-    """Flat, id-indexed views of the transition graph for hot loops.
-
-    The per-state ``transitions``/``predecessors`` dicts hash a
-    :class:`~repro.grammar.symbols.Symbol` (a Python-level ``__hash__``)
-    on every probe; the successor generators of the unifying search do
-    millions of such probes. Here each symbol gets a dense integer code
-    and the forward graph becomes one flat ``array('l')`` of target state
-    ids (``-1`` for "no edge") indexed ``state_id * stride + code``; the
-    reverse graph is a parallel flat tuple of predecessor-id tuples.
-    """
-
-    __slots__ = ("symbols", "code", "stride", "goto_flat", "pred_flat")
-
-    def __init__(
-        self,
-        states: list["LR0State"],
-        predecessors: dict[int, dict[Symbol, list["LR0State"]]],
-    ) -> None:
-        universe = sorted(
-            {symbol for state in states for symbol in state.transitions}, key=str
-        )
-        self.symbols: tuple[Symbol, ...] = tuple(universe)
-        self.code: dict[Symbol, int] = {
-            symbol: code for code, symbol in enumerate(self.symbols)
-        }
-        stride = self.stride = len(self.symbols)
-        goto_flat = array("l", bytes(0)) if stride == 0 else array(
-            "l", [-1] * (len(states) * stride)
-        )
-        pred_flat: list[tuple[int, ...]] = [()] * (len(states) * stride)
-        for state in states:
-            base = state.id * stride
-            for symbol, target in state.transitions.items():
-                goto_flat[base + self.code[symbol]] = target.id
-        for state_id, by_symbol in predecessors.items():
-            base = state_id * stride
-            for symbol, sources in by_symbol.items():
-                pred_flat[base + self.code[symbol]] = tuple(
-                    source.id for source in sources
-                )
-        self.goto_flat = goto_flat
-        self.pred_flat: tuple[tuple[int, ...], ...] = tuple(pred_flat)
-
-    def goto_id(self, state_id: int, symbol: Symbol) -> int:
-        """Target state id of the *symbol*-edge out of *state_id*, or -1."""
-        code = self.code.get(symbol)
-        if code is None:
-            return -1
-        return self.goto_flat[state_id * self.stride + code]
-
-    def predecessor_ids(self, state_id: int, symbol: Symbol) -> tuple[int, ...]:
-        """Ids of states with a *symbol*-edge into *state_id*."""
-        code = self.code.get(symbol)
-        if code is None:
-            return ()
-        return self.pred_flat[state_id * self.stride + code]
-
-
 class LR0Automaton:
     """The canonical collection of LR(0) item sets for a grammar."""
 
@@ -200,9 +139,9 @@ class LR0Automaton:
         self.states: list[LR0State] = []
         self._by_kernel: dict[frozenset[Item], LR0State] = {}
         self._starts: dict[int, Item] = {}
-        #: Reverse transition graph: predecessors[s.id][X] = states with an
-        #: X-transition into s. Needed by the paper's reverse searches (§6).
-        self.predecessors: dict[int, dict[Symbol, list[LR0State]]] = {}
+        #: Reverse transition graph: predecessors[s.id] = ids of the states
+        #: with an edge into s. Needed by the paper's reverse searches (§6).
+        self.predecessors: list[tuple[int, ...]] = []
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -243,16 +182,6 @@ class LR0Automaton:
     # ------------------------------------------------------------------ #
 
     @cached_property
-    def arrays(self) -> AdjacencyArrays:
-        """Array-backed adjacency, built lazily on first hot-path use.
-
-        Lazy (rather than built in ``__init__``) because cache decoding
-        (:mod:`repro.automaton.serialize`) reconstructs automatons via
-        ``__new__`` and most cached consumers never touch the arrays.
-        """
-        return AdjacencyArrays(self.states, self.predecessors)
-
-    @cached_property
     def index(self) -> "StateItemIndex":
         """Dense ids for the ``(state, item)`` pairs (built on first use)."""
         from repro.automaton.index import StateItemIndex
@@ -262,10 +191,6 @@ class LR0Automaton:
     def goto(self, state: LR0State, symbol: Symbol) -> LR0State | None:
         """The successor of *state* on *symbol*, or ``None``."""
         return state.transitions.get(symbol)
-
-    def predecessors_on(self, state: LR0State, symbol: Symbol) -> list[LR0State]:
-        """States with a *symbol*-transition into *state*."""
-        return self.predecessors[state.id].get(symbol, [])
 
     def __len__(self) -> int:
         return len(self.states)

@@ -17,12 +17,12 @@ refuses tables whose source automaton had unresolved conflicts unless
 
 The **full-automaton format** (:func:`automaton_to_dict` /
 :func:`automaton_from_dict`) additionally captures everything the
-*counterexample* pipeline needs — item sets, the transition graph, the
-per-item LALR(1) lookahead function, and the unresolved conflicts — so a
+*counterexample* pipeline needs — item sets, the transition graph and
+the per-item LALR(1) lookahead function — so a
 :class:`~repro.automaton.lalr.LALRAutomaton` can be reconstructed without
 re-running LR(0) construction or the lookahead fixpoint.
 
-The format (version 4) holds what the finder reads and nothing else.
+The format (version 5) holds the automaton and nothing derived from it.
 Lookahead sets are pooled *int bitmasks* over the automaton's
 name-sorted :class:`~repro.automaton.bitset.TerminalTable`, stored in
 state and item order, so decoding fills
@@ -32,9 +32,11 @@ symbol list, and whole rows that repeat are interned
 (:func:`intern_rows`). The construction algorithm (``"algorithm"``:
 lalr/ielr/lr1 — minimal and canonical LR(1) automata from
 :mod:`repro.automaton.ielr` serialize through the same writer) is
-recorded. ACTION/GOTO rows are not stored: a decoded automaton builds
-its :attr:`~repro.automaton.lalr.LALRAutomaton.tables` on first read,
-as a fresh one does.
+recorded. Conflicts and ACTION/GOTO rows are not stored: a decoded
+automaton derives its
+:attr:`~repro.automaton.lalr.LALRAutomaton.conflicts` and
+:attr:`~repro.automaton.lalr.LALRAutomaton.tables` on first read, with
+the same code as a fresh one.
 
 Only the current version decodes; any other raises ``ValueError``. The
 format's one job is to memoize automaton construction in
@@ -45,11 +47,9 @@ documents of an older version are never even looked up.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import Any
 
 from repro.automaton.bitset import TerminalTable
-from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.items import Item
 from repro.automaton.lalr import LALRAutomaton
 from repro.automaton.lr0 import (
@@ -66,7 +66,7 @@ FORMAT_VERSION = 1
 #: Version of the full-automaton format. Bump on any change to the
 #: encoding below; :mod:`repro.perf.cache` folds it into the cache key,
 #: so stale cache entries self-invalidate.
-FULL_FORMAT_VERSION = 4
+FULL_FORMAT_VERSION = 5
 
 
 def tables_to_dict(automaton: LALRAutomaton) -> dict[str, Any]:
@@ -211,9 +211,9 @@ def automaton_to_dict(
     round-trips production order, start symbol, and precedence; a
     caller that already emitted it passes it as *grammar_dsl*), the
     construction algorithm, the state graph with item sets and flat
-    coded transitions, the pooled bitmask lookahead function over the
-    automaton's terminal table, and the unresolved conflicts. Parse
-    tables are neither built nor stored.
+    coded transitions, and the pooled bitmask lookahead function over
+    the automaton's terminal table. Conflicts and parse tables are
+    neither found nor stored.
     """
     grammar = automaton.grammar
     if grammar_dsl is None:
@@ -270,16 +270,6 @@ def automaton_to_dict(
         "la_pool": pool,
         "lookaheads": intern_rows(lookahead_rows),
         "trans": intern_rows(trans_rows),
-        "conflicts": [
-            {
-                "state": c.state_id,
-                "terminal": str(c.terminal),
-                "kind": c.kind.value,
-                "reduce": [c.reduce_item.production.index, c.reduce_item.dot],
-                "other": [c.other_item.production.index, c.other_item.dot],
-            }
-            for c in automaton.conflicts
-        ],
     }
 
 
@@ -293,9 +283,8 @@ def automaton_from_dict(
     the caller passes *grammar*, which must emit exactly that text (the
     automaton cache checks this): the automaton is then decoded against
     the caller's own productions, source lines included. States,
-    transitions, lookahead masks and conflicts are rebuilt directly,
-    skipping LR(0) construction, the lookahead pass and conflict
-    detection (see :class:`DecodedAutomaton`). A document of any other
+    transitions and lookahead masks are rebuilt directly, skipping LR(0)
+    construction and the lookahead pass. A document of any other
     format version raises ``ValueError`` (which the automaton cache
     treats as a miss).
     """
@@ -331,9 +320,6 @@ def automaton_from_dict(
             Item(production, dot) for dot in range(len(production.rhs) + 1)
         )
 
-    def decode_item(index: int, dot: int) -> Item:
-        return catalog[offsets[index] + dot]
-
     states: list[LR0State] = []
     for state_id, encoded in enumerate(data["states"]):
         raw = encoded["items"]
@@ -355,9 +341,8 @@ def automaton_from_dict(
         masks.extend([pool[pool_id] for pool_id in row])
 
     # Wire the ``__new__``-made instances together. The nullable/FIRST
-    # analysis, the ``(state, item)``-keyed lookahead dict and views,
-    # the adjacency arrays and the parse tables all stay lazy — cached
-    # consumers that never touch them never pay for them.
+    # analysis, the conflicts and the parse tables all stay lazy, as on
+    # a fresh build.
     lr0 = LR0Automaton.__new__(LR0Automaton)
     lr0.grammar = grammar
     lr0.states = states
@@ -368,38 +353,13 @@ def automaton_from_dict(
         states, expansion_order(states) if algorithm == "lalr" else states
     )
 
-    automaton = DecodedAutomaton.__new__(DecodedAutomaton)
+    automaton = LALRAutomaton.__new__(LALRAutomaton)
     automaton.grammar = grammar
     automaton.lr0 = lr0
     automaton.terminal_table = terminal_table
     automaton.masks_by_id = masks
     automaton.algorithm = algorithm
-    automaton.conflicts = [
-        Conflict(
-            state_id=entry["state"],
-            terminal=Terminal(entry["terminal"]),
-            kind=ConflictKind(entry["kind"]),
-            reduce_item=decode_item(*entry["reduce"]),
-            other_item=decode_item(*entry["other"]),
-        )
-        for entry in data["conflicts"]
-    ]
     return automaton
-
-
-class DecodedAutomaton(LALRAutomaton):
-    """An :class:`LALRAutomaton` rebuilt by :func:`automaton_from_dict`.
-
-    States, transitions, :attr:`masks_by_id` and :attr:`conflicts` are
-    decoded up front. The ``(state, item)``-keyed :attr:`lookahead_masks`
-    is built from the masks on first use: the finder reads masks by id.
-    """
-
-    @cached_property
-    def lookahead_masks(self) -> dict[tuple[int, Item], int]:  # type: ignore[override]
-        """The lookahead masks keyed by ``(state id, item)``, built on first use."""
-        index = self.lr0.index
-        return dict(zip(zip(index.state_of, index.item_of), self.masks_by_id))
 
 
 def dump_automaton(automaton: LALRAutomaton, grammar_dsl: str | None = None) -> str:

@@ -10,10 +10,11 @@ Table construction follows yacc/CUP conventions:
   and falls back to the yacc defaults (shift beats reduce; the
   earlier-declared production beats the later one).
 
-:func:`find_conflicts` is the one source of conflicts; it needs only the
-lookahead masks. The counterexample finder never reads the ACTION/GOTO
-rows, so :func:`build_tables` runs only for the parsers, lint and the
-differential oracle.
+:func:`find_conflicts` is the one source of conflicts and of precedence
+resolutions; it needs only the lookahead masks, and the automaton caches
+its result. The counterexample finder and lint never read the
+ACTION/GOTO rows, so :func:`build_tables` runs only for the parsers,
+table dumps and the differential oracle.
 """
 
 from __future__ import annotations
@@ -61,19 +62,11 @@ Action = Union[Shift, Reduce, Accept, ErrorAction]
 
 @dataclass
 class ParseTables:
-    """ACTION and GOTO tables plus the unresolved conflicts.
-
-    ``used_precedence`` records every terminal whose precedence level was
-    consulted while silently resolving a shift/reduce conflict — both the
-    lookahead terminal and the terminal that determined the production's
-    level. Declarations outside this set never influenced the tables.
-    """
+    """ACTION and GOTO tables plus the unresolved conflicts."""
 
     action: list[dict[Terminal, Action]]
     goto: list[dict[Nonterminal, int]]
     conflicts: list[Conflict]
-    resolved_count: int = 0
-    used_precedence: frozenset[Terminal] = frozenset()
 
     def action_for(self, state_id: int, terminal: Terminal) -> Action | None:
         return self.action[state_id].get(terminal)
@@ -130,8 +123,14 @@ def reduce_lookaheads(automaton, state) -> tuple[list[Item], list[int], int]:
     return items, item_masks, shift_mask
 
 
-def find_conflicts(automaton) -> list[Conflict]:
-    """The unresolved conflicts of *automaton*, in ``(state, terminal)`` order.
+def find_conflicts(
+    automaton,
+) -> tuple[list[Conflict], dict[tuple[int, Terminal], tuple[str, Production]]]:
+    """The conflicts of *automaton* and the overlaps precedence decided.
+
+    Returns the unresolved conflicts, in ``(state, terminal)`` order, and
+    ``(state id, terminal) -> (resolution, production)`` for every
+    shift/reduce overlap that precedence resolves.
 
     Per state, the reduce items' lookahead masks are overlapped with
     each other and with the terminals the state shifts; only the
@@ -144,6 +143,7 @@ def find_conflicts(automaton) -> list[Conflict]:
     """
     terminals = automaton.terminal_table.terminals
     conflicts: list[Conflict] = []
+    resolutions: dict[tuple[int, Terminal], tuple[str, Production]] = {}
     for state in automaton.states:
         items, masks, shift_mask = reduce_lookaheads(automaton, state)
         seen = shared = 0
@@ -170,7 +170,9 @@ def find_conflicts(automaton) -> list[Conflict]:
             if not bit & shift_mask:
                 continue
             chosen = min(reducers, key=lambda reducer: reducer.production.index)
-            if _resolve_shift_reduce(automaton, terminal, chosen.production) is not None:
+            resolution = _resolve_shift_reduce(automaton, terminal, chosen.production)
+            if resolution is not None:
+                resolutions[(state.id, terminal)] = (resolution, chosen.production)
                 continue
             shift_items = _find_shift_items(state, terminal)
             for item in reducers:
@@ -185,23 +187,22 @@ def find_conflicts(automaton) -> list[Conflict]:
                         )
                     )
     conflicts.sort(key=lambda c: (c.state_id, str(c.terminal)))
-    return conflicts
+    return conflicts, resolutions
 
 
 def build_tables(automaton) -> ParseTables:
     """Construct parse tables for a :class:`~repro.automaton.lalr.LALRAutomaton`.
 
-    The conflicts are the automaton's own (:func:`find_conflicts`);
-    this fills the entries with their yacc-default or precedence
-    resolutions.
+    The conflicts and precedence resolutions are the automaton's own
+    (:func:`find_conflicts`); this fills the entries with them and with
+    the yacc defaults.
     """
     grammar = automaton.grammar
     terminals = automaton.terminal_table.terminals
+    resolutions = automaton.resolutions
     num_states = len(automaton.states)
     action: list[dict[Terminal, Action]] = [{} for _ in range(num_states)]
     goto: list[dict[Nonterminal, int]] = [{} for _ in range(num_states)]
-    resolved = 0
-    used_precedence: set[Terminal] = set()
 
     accept_item = Item(grammar.start_production, 1)  # START' -> S . $
 
@@ -229,37 +230,27 @@ def build_tables(automaton) -> ParseTables:
             bit = pending & -pending
             pending ^= bit
             terminal = terminals[bit.bit_length() - 1]
-            item = min(
-                (reducer for reducer, mask in zip(items, masks) if mask & bit),
-                key=lambda reducer: reducer.production.index,
-            )
             if terminal not in row:
+                item = min(
+                    (reducer for reducer, mask in zip(items, masks) if mask & bit),
+                    key=lambda reducer: reducer.production.index,
+                )
                 row[terminal] = Reduce(item.production)
                 continue
             # The state shifts (or accepts) the terminal.
-            resolution = _resolve_shift_reduce(automaton, terminal, item.production)
-            if resolution is None:
+            decided = resolutions.get((state.id, terminal))
+            if decided is None:
                 continue
+            resolution, production = decided
             if resolution == "reduce":
-                row[terminal] = Reduce(item.production)
+                row[terminal] = Reduce(production)
             elif resolution == "error":
                 row[terminal] = ErrorAction()
-            resolved += 1
-            used_precedence.add(terminal)
-            source = _production_prec_terminal(item.production)
-            if source is not None:
-                used_precedence.add(source)
 
-    return ParseTables(
-        action=action,
-        goto=goto,
-        conflicts=automaton.conflicts,
-        resolved_count=resolved,
-        used_precedence=frozenset(used_precedence),
-    )
+    return ParseTables(action=action, goto=goto, conflicts=automaton.conflicts)
 
 
-def _production_prec_terminal(production: Production) -> Terminal | None:
+def production_prec_terminal(production: Production) -> Terminal | None:
     """The terminal whose declaration determines *production*'s precedence."""
     if production.prec_override is not None:
         return production.prec_override

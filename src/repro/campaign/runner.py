@@ -13,7 +13,8 @@ halves:
 
 A unit that raises is captured as ``outcome="error"`` with the exception
 in the payload — the scheduler checkpoints it like any other result, so
-a poisoned unit cannot wedge a shard.
+a poisoned unit cannot wedge a shard. One that kills its worker process
+becomes the same kind of result (``WorkerDied``) in the scheduler.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -239,6 +240,30 @@ class CampaignScheduler:
             slot += 1
 
     def _run_pool(self, runs: list[_ShardRun]) -> None:
+        # A worker that dies (os._exit, a segfault, an OOM kill) breaks
+        # the pool and every future in it. Each unit then in flight
+        # re-runs alone, so only the one that kills its own worker ends
+        # as an error; the shard goes on in a fresh pool.
+        while suspects := self._run_pool_until_broken(runs):
+            for run, unit, stolen in suspects:
+                with ProcessPoolExecutor(max_workers=1) as pool:
+                    attempt = run.begin(unit)
+                    future = self._submit(pool, unit, attempt)
+                    try:
+                        result = UnitResult.from_json(future.result())
+                    except BrokenProcessPool:
+                        result = UnitResult(
+                            unit.id,
+                            "error",
+                            {"error_type": "WorkerDied", "error": "worker process died"},
+                            attempt=attempt,
+                        )
+                self._record(run, unit, result, stolen)
+
+    def _run_pool_until_broken(
+        self, runs: list[_ShardRun]
+    ) -> list[tuple[_ShardRun, WorkUnit, bool]]:
+        """Run pending units; returns those in flight if the pool broke."""
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             free: deque[int] = deque(range(self.jobs))
             in_flight: dict[Any, tuple[_ShardRun, WorkUnit, int, bool]] = {}
@@ -250,23 +275,29 @@ class CampaignScheduler:
                         break
                     free.popleft()
                     run, unit, stolen = picked
-                    attempt = run.begin(unit)
-                    future = pool.submit(
-                        execute_unit_json,
-                        self.spec.to_json(),
-                        unit.to_json(),
-                        self.cache_dir,
-                        attempt,
-                    )
+                    future = self._submit(pool, unit, run.begin(unit))
                     in_flight[future] = (run, unit, slot, stolen)
                 if not in_flight:
-                    break
+                    return []
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    run, unit, slot, stolen = in_flight.pop(future)
-                    result = UnitResult.from_json(future.result())
+                    run, unit, slot, stolen = in_flight[future]
+                    try:
+                        result = UnitResult.from_json(future.result())
+                    except BrokenProcessPool:
+                        return [(r, u, s) for r, u, _, s in in_flight.values()]
+                    del in_flight[future]
                     self._record(run, unit, result, stolen)
                     free.append(slot)
+
+    def _submit(self, pool: ProcessPoolExecutor, unit: WorkUnit, attempt: int):
+        return pool.submit(
+            execute_unit_json,
+            self.spec.to_json(),
+            unit.to_json(),
+            self.cache_dir,
+            attempt,
+        )
 
     def _pick(
         self, runs: list[_ShardRun], slot: int

@@ -395,7 +395,13 @@ def main(argv: list[str] | None = None) -> int:
         from repro.perf import metrics
 
         collector = metrics.enable()
+    try:
+        return _run(args)
+    finally:
+        _emit_profile(args, collector)
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.fuzz is not None:
         return _run_fuzz(args)
 
@@ -469,7 +475,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             if status is not None:
                 return status
-        _emit_profile(args, collector)
         return 0
 
     from repro.perf.parallel import explain_all_parallel
@@ -524,7 +529,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{summary.num_timeout} timed out{extras} ({elapsed:.2f}s)"
     )
 
-    _emit_profile(args, collector)
     if args.robust_report:
         # The robust contract: degradation is reported in-band, so the
         # exit code tracks report *completeness*, not conflict presence.

@@ -42,8 +42,6 @@ class ProductParser:
     def __init__(self, automaton: LALRAutomaton) -> None:
         self.automaton = automaton
         self.grammar = automaton.grammar
-        # Hoisted once: actions() is consulted per explored product state.
-        self._arrays = automaton.lr0.arrays
 
     def actions(self, state: ProductState) -> Iterator[ProductAction]:
         """All actions available in a product state."""
@@ -52,21 +50,15 @@ class ProductParser:
         # Joint transition (Figure 6(a)).
         symbol = item1.next_symbol
         if symbol is not None and symbol == item2.next_symbol:
-            arrays = self._arrays
-            code = arrays.code.get(symbol)
-            if code is not None:
-                stride, goto_flat = arrays.stride, arrays.goto_flat
-                target1 = goto_flat[state1 * stride + code]
-                target2 = goto_flat[state2 * stride + code]
-                if target1 >= 0 and target2 >= 0:
-                    yield ProductAction(
-                        "transition",
-                        symbol,
-                        (
-                            (target1, item1.advance()),
-                            (target2, item2.advance()),
-                        ),
-                    )
+            states = self.automaton.states
+            target1 = states[state1].transitions.get(symbol)
+            target2 = states[state2].transitions.get(symbol)
+            if target1 is not None and target2 is not None:
+                yield ProductAction(
+                    "transition",
+                    symbol,
+                    ((target1.id, item1.advance()), (target2.id, item2.advance())),
+                )
 
         # One-sided production steps (Figure 6(b)).
         for kind, (state_id, item), other in (

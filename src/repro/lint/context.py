@@ -1,9 +1,9 @@
 """Shared, lazily computed artifacts for one grammar.
 
 Every lint pass receives one :class:`LintContext`. Expensive artifacts —
-the grammar analysis, the automaton, parse tables, the SLR conflict
-count, the canonical and minimal LR(1) automata, the SR-walk verdicts and
-conflict provenance — are computed at most once per context and shared.
+the grammar analysis, the automaton, the SLR conflict count, the
+canonical and minimal LR(1) automata, the SR-walk verdicts and conflict
+provenance — are computed at most once per context and shared.
 It is the one per-grammar artifact set of every entry point: the CLI,
 the service worker, the campaign runner and the fuzz harness (which hands
 the same context to the differential oracle) each build one context on
@@ -62,10 +62,6 @@ class LintContext:
 
             self._automaton = build_automaton_cached(self.grammar, self.cache, "lalr")
         return self._automaton
-
-    @property
-    def tables(self):
-        return self.automaton.tables
 
     @property
     def conflicts(self):

@@ -205,7 +205,7 @@ class UnusedPrecedence(LintPass):
             if production.prec_override is not None
         }
         conflict_terminals = {conflict.terminal for conflict in ctx.conflicts}
-        consulted = ctx.tables.used_precedence
+        consulted = ctx.automaton.used_precedence
         for terminal in grammar.precedence.declared_terminals():
             if terminal not in used_in_rules and terminal not in overrides:
                 yield self.diagnostic(

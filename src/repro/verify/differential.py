@@ -408,7 +408,7 @@ class DifferentialOracle:
         }
         if not proven.issuperset(conflicts):
             return
-        if self.automaton.tables.resolved_count:
+        if self.automaton.resolutions:
             report.skipped.append(
                 "ambiguity-agreement: precedence-resolved entries hide "
                 "conflicts the walk never saw"

@@ -6,20 +6,56 @@ it, then walks those terminals in name order: every pair of reduce items
 is a reduce/reduce conflict, and where the state also shifts the
 terminal, unless precedence decides it for the earliest production,
 every (reduce item, shift item) pair is a shift/reduce conflict.
+:func:`reference_precedence` tallies the overlaps precedence decided the
+way the old table builder did.
 """
 
 from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.tables import _find_shift_items, _resolve_shift_reduce
+from repro.grammar import Terminal
+
+
+def _reducers(automaton, state):
+    """Terminal -> the reduce items of *state* whose lookahead holds it."""
+    reducers = {}
+    for item in state.items:
+        if item.at_end and item.production.index != 0:
+            for terminal in automaton.lookahead(state, item):
+                reducers.setdefault(terminal, []).append(item)
+    return reducers
+
+
+def reference_precedence(automaton):
+    """``(resolved count, used precedence terminals)`` of the old table builder.
+
+    Each terminal a state both shifts and reduces on, where precedence
+    decides for the earliest production, counts once; it and the
+    terminal that sets the production's level were consulted.
+    """
+    resolved = 0
+    used = set()
+    for state in automaton.states:
+        for terminal, items in _reducers(automaton, state).items():
+            if terminal not in state.transitions:
+                continue
+            production = min(items, key=lambda item: item.production.index).production
+            if _resolve_shift_reduce(automaton, terminal, production) is None:
+                continue
+            resolved += 1
+            used.add(terminal)
+            if production.prec_override is not None:
+                used.add(production.prec_override)
+            else:
+                used.update(
+                    [s for s in production.rhs if isinstance(s, Terminal)][-1:]
+                )
+    return resolved, frozenset(used)
 
 
 def reference_conflicts(automaton):
     conflicts = []
     for state in automaton.states:
-        reducers = {}
-        for item in state.items:
-            if item.at_end and item.production.index != 0:
-                for terminal in automaton.lookahead(state, item):
-                    reducers.setdefault(terminal, []).append(item)
+        reducers = _reducers(automaton, state)
         for terminal, items in sorted(reducers.items(), key=lambda kv: str(kv[0])):
             for first_index in range(len(items)):
                 for second_index in range(first_index + 1, len(items)):

@@ -6,7 +6,8 @@ consumer what a fresh build gives it:
 * the predecessor lists in the construction's order — the SR walk
   spends its node budget in that order, so a different order can move
   a verdict between ``ambiguous`` and ``inconclusive``;
-* the ACTION/GOTO tables, built on first read from the decoded masks,
+* the conflicts and precedence resolutions, derived from the decoded
+  masks by the same pass, and the ACTION/GOTO tables built from them,
   equal to the built ones, with the conflict list shared between
   ``tables`` and ``automaton.conflicts``;
 * the same walk verdicts, including on the fuzz grammars whose verdicts
@@ -19,7 +20,7 @@ import pytest
 
 from repro.analysis import analyze_conflicts
 from repro.automaton import build_automaton
-from repro.automaton.serialize import DecodedAutomaton, dump_automaton, load_automaton
+from repro.automaton.serialize import dump_automaton, load_automaton
 from repro.corpus import all_specs, load
 from repro.verify.fuzz import GrammarFuzzer
 
@@ -44,30 +45,21 @@ def _cases():
                                marks=marks)
 
 
-def _predecessor_ids(automaton):
-    return {
-        state_id: {str(symbol): [s.id for s in sources]
-                   for symbol, sources in by_symbol.items()}
-        for state_id, by_symbol in automaton.lr0.predecessors.items()
-    }
-
-
 @pytest.mark.parametrize("name, algorithm", list(_cases()))
 def test_decoded_automaton_matches_the_build(name, algorithm):
     built = build_automaton(load(name), algorithm)
     decoded = load_automaton(dump_automaton(built))
-    assert isinstance(decoded, DecodedAutomaton)
 
-    # Same lists in the same order, not just the same sets.
-    assert _predecessor_ids(decoded) == _predecessor_ids(built)
+    # Same tuples in the same order, not just the same sets.
+    assert decoded.lr0.predecessors == built.lr0.predecessors
 
     assert decoded.conflicts == built.conflicts
+    assert len(decoded.resolutions) == len(built.resolutions)
+    assert decoded.used_precedence == built.used_precedence
     assert "tables" not in decoded.__dict__
     assert decoded.tables.action == built.tables.action
     assert decoded.tables.goto == built.tables.goto
     assert decoded.tables.conflicts is decoded.conflicts
-    assert decoded.tables.resolved_count == built.tables.resolved_count
-    assert decoded.tables.used_precedence == built.tables.used_precedence
 
 
 #: Fuzz seeds of the CI campaign units (``campaigns/ci.json``) whose walk

@@ -190,5 +190,5 @@ class TestDownstream:
         ielr = build_ielr(nonlalr01)
         assert isinstance(ielr.lr0, LR0Automaton)
         for state in ielr.states:
-            for symbol, target in state.transitions.items():
-                assert state in ielr.lr0.predecessors[target.id][symbol]
+            for target in state.transitions.values():
+                assert state.id in ielr.lr0.predecessors[target.id]

@@ -143,7 +143,9 @@ def test_corpus_masks_match_frozenset_oracle(spec):
 
     automaton = build_lalr(spec.load())
     oracle = compute_lalr_lookaheads(automaton.lr0, automaton.analysis)
-    assert list(automaton.lookahead_masks) == list(oracle)
+    index = automaton.lr0.index
+    assert [index.pair(node) for node in range(len(index))] == list(oracle)
+    assert len(automaton.masks_by_id) == len(oracle)
     mask_of = automaton.terminal_table.mask_of
-    for key, expected in oracle.items():
-        assert automaton.lookahead_masks[key] == mask_of(expected), key
+    for mask, (key, expected) in zip(automaton.masks_by_id, oracle.items()):
+        assert mask == mask_of(expected), key

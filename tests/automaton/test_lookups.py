@@ -28,19 +28,15 @@ class TestReverseTransitions:
     def test_complete_over_all_predecessors(self, auto):
         lookups = auto.lookups
         for state in auto.states:
-            for symbol, predecessors in auto.lr0.predecessors[state.id].items():
-                for item in state.items:
-                    if item.previous_symbol != symbol:
-                        continue
-                    found = {
-                        p.id for p, _ in lookups.reverse_transitions(state, item)
-                    }
-                    expected = {
-                        p.id
-                        for p in predecessors
-                        if item.retreat() in lookups.item_sets[p.id]
-                    }
-                    assert found == expected
+            predecessors = auto.lr0.predecessors[state.id]
+            for item in state.items:
+                if item.dot == 0:
+                    continue
+                found = {p.id for p, _ in lookups.reverse_transitions(state, item)}
+                expected = {
+                    p for p in predecessors if item.retreat() in lookups.item_sets[p]
+                }
+                assert found == expected
 
 
 class TestReverseProductionSteps:

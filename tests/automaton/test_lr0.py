@@ -76,14 +76,23 @@ class TestConstruction:
 class TestReverseEdges:
     def test_predecessors_invert_transitions(self, automaton):
         for state in automaton:
-            for symbol, target in state.transitions.items():
-                assert state in automaton.predecessors_on(target, symbol)
+            for target in state.transitions.values():
+                assert state.id in automaton.predecessors[target.id]
 
     def test_no_spurious_predecessors(self, automaton):
         for state in automaton:
-            for symbol, predecessors in automaton.predecessors[state.id].items():
-                for predecessor in predecessors:
-                    assert predecessor.transitions[symbol] is state
+            for predecessor in automaton.predecessors[state.id]:
+                assert state in automaton.states[predecessor].transitions.values()
+
+    def test_every_edge_into_a_state_carries_its_entry_symbol(self, automaton):
+        for state in automaton:
+            symbols = {
+                symbol
+                for source in automaton.predecessors[state.id]
+                for symbol, target in automaton.states[source].transitions.items()
+                if target is state
+            }
+            assert len(symbols) == (1 if state.id else 0)
 
     def test_start_state_has_no_predecessors(self, automaton):
         assert not automaton.predecessors[0]

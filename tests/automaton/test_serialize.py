@@ -103,7 +103,12 @@ class TestFullAutomatonFormat:
 
     def test_lookaheads_identical(self, figure1):
         original, loaded = self._round_trip(figure1)
-        assert loaded.lookaheads == original.lookaheads
+        assert loaded.masks_by_id == original.masks_by_id
+        for state in original.states:
+            for item in state.items:
+                assert loaded.lookahead(state.id, item) == original.lookahead(
+                    state, item
+                )
 
     def test_tables_and_conflicts_identical(self, figure1):
         original, loaded = self._round_trip(figure1)
@@ -115,10 +120,7 @@ class TestFullAutomatonFormat:
 
     def test_predecessors_rebuilt(self, figure1):
         original, loaded = self._round_trip(figure1)
-        for state in original.states:
-            for symbol, preds in original.lr0.predecessors[state.id].items():
-                rebuilt = loaded.lr0.predecessors_on(loaded.states[state.id], symbol)
-                assert {p.id for p in preds} == {p.id for p in rebuilt}
+        assert loaded.lr0.predecessors == original.lr0.predecessors
 
     def test_dump_is_deterministic_and_idempotent(self, figure1):
         from repro.automaton.serialize import dump_automaton, load_automaton
@@ -135,8 +137,9 @@ class TestFullAutomatonFormat:
         grammar = load_grammar("%left '+'\ne : e '+' e | ID ;")
         automaton = build_lalr(grammar)
         loaded = load_automaton(dump_automaton(automaton))
-        assert loaded.tables.resolved_count == automaton.tables.resolved_count
-        assert loaded.tables.used_precedence == automaton.tables.used_precedence
+        assert len(loaded.resolutions) == len(automaton.resolutions) == 1
+        assert loaded.used_precedence == automaton.used_precedence
+        assert loaded.tables.action == automaton.tables.action
         assert loaded.conflicts == automaton.conflicts == []
 
     def test_version_check(self, expr_grammar):
@@ -189,7 +192,7 @@ def _encode_v1(automaton):
             codes = tuple(
                 sorted(
                     code_of[t]
-                    for t in automaton.lookaheads[(state.id, item)]
+                    for t in automaton.lookahead(state, item)
                 )
             )
             index = pool_index.get(codes)
@@ -247,8 +250,8 @@ def _encode_v1(automaton):
             }
             for c in automaton.conflicts
         ],
-        "resolved_count": tables.resolved_count,
-        "used_precedence": sorted(t.name for t in tables.used_precedence),
+        "resolved_count": len(automaton.resolutions),
+        "used_precedence": sorted(t.name for t in automaton.used_precedence),
     }
 
 
@@ -319,7 +322,7 @@ class TestV1Fallback:
 
 
 class TestFormatV3:
-    """The layout v3 introduced and v4 keeps: pooled int masks, flat
+    """The layout v3 introduced and v5 keeps: pooled int masks, flat
     coded items and transitions, interned rows."""
 
     def _payload(self, grammar):
@@ -348,9 +351,8 @@ class TestFormatV3:
         rows = expand_rows(payload["lookaheads"])
         for state, row in zip(automaton.states, rows):
             for item, pool_id in zip(state.items, row):
-                assert pool[pool_id] == automaton.lookahead_mask(
-                    state.id, item
-                )
+                node = automaton.lr0.index.id_of(state.id, item)
+                assert pool[pool_id] == automaton.masks_by_id[node]
 
     def test_transitions_and_tables_are_flat_coded(self, figure1):
         from repro.automaton.serialize import expand_rows
@@ -374,7 +376,6 @@ class TestFormatV3:
             automaton.terminal_table.terminals
         )
         assert loaded.masks_by_id == automaton.masks_by_id
-        assert loaded.lookahead_masks == automaton.lookahead_masks
 
     def test_ielr_automaton_round_trips(self):
         from repro.automaton import build_ielr
@@ -421,15 +422,7 @@ def _encode_v3(automaton):
 
 
 class TestFormatV4:
-    """v4 stores what the finder reads: no ACTION/GOTO rows."""
-
-    def test_version_marker_is_4(self, figure1):
-        from repro.automaton.serialize import FULL_FORMAT_VERSION, automaton_to_dict
-
-        payload = automaton_to_dict(build_lalr(figure1))
-        assert FULL_FORMAT_VERSION == 4
-        assert payload["full_version"] == 4
-        assert payload["algorithm"] == "lalr"
+    """v4 dropped the ACTION/GOTO rows, and v5 keeps them out."""
 
     def test_entry_holds_no_parse_tables(self, figure1):
         from repro.automaton.serialize import automaton_to_dict
@@ -439,7 +432,6 @@ class TestFormatV4:
         assert "tables" not in automaton.__dict__
         for key in ("action", "goto", "resolved_count", "used_precedence"):
             assert key not in payload
-        assert len(payload["conflicts"]) == len(automaton.conflicts) == 3
 
     def test_v3_document_is_rejected(self, figure1):
         from repro.automaton.serialize import automaton_from_dict
@@ -479,6 +471,78 @@ class TestFormatV4:
         assert (cache.hits, cache.misses, cache.quarantined) == (0, 2, 1)
         assert len(rebuilt.conflicts) == 3
         assert build_automaton_cached(figure1, cache, "lalr") is not None
+        assert cache.hits == 1
+
+
+def _encode_v4(automaton):
+    """*automaton*'s current document re-shaped as a v4 one: the version
+    marker and the conflict list v5 dropped."""
+    from repro.automaton.serialize import automaton_to_dict
+
+    payload = automaton_to_dict(automaton)
+    payload["full_version"] = 4
+    payload["conflicts"] = []
+    return payload
+
+
+class TestFormatV5:
+    """v5 stores the automaton alone: conflicts are derived on decode."""
+
+    def test_version_marker_is_5(self, figure1):
+        from repro.automaton.serialize import FULL_FORMAT_VERSION, automaton_to_dict
+
+        payload = automaton_to_dict(build_lalr(figure1))
+        assert FULL_FORMAT_VERSION == 5
+        assert payload["full_version"] == 5
+        assert payload["algorithm"] == "lalr"
+
+    def test_entry_holds_no_conflicts(self, figure1):
+        from repro.automaton.serialize import automaton_from_dict, automaton_to_dict
+
+        automaton = build_lalr(figure1)
+        payload = automaton_to_dict(automaton)
+        assert "conflicts" not in payload
+        assert "_conflict_pass" not in automaton.__dict__
+        loaded = automaton_from_dict(payload)
+        assert loaded.conflicts == automaton.conflicts and len(loaded.conflicts) == 3
+
+    def test_v4_document_is_rejected(self, figure1):
+        from repro.automaton.serialize import automaton_from_dict
+
+        with pytest.raises(ValueError, match="version 4"):
+            automaton_from_dict(_encode_v4(build_lalr(figure1)))
+
+    def test_v4_cache_entry_is_a_clean_miss(self, figure1, tmp_path):
+        """A v4 entry sits under a v4 fingerprint, which a v5 reader never
+        looks up; one found at the current key is quarantined."""
+        import hashlib
+        import json
+
+        from repro.analysis import ANALYSIS_VERSION
+        from repro.grammar.emit import dump_grammar
+        from repro.perf.cache import (
+            AutomatonCache,
+            build_automaton_cached,
+            grammar_fingerprint,
+        )
+
+        document = json.dumps(_encode_v4(build_lalr(figure1)))
+        v4_key = hashlib.sha256(
+            f"repro.automaton/4/a{ANALYSIS_VERSION}/lalr\n"
+            f"{dump_grammar(figure1)}".encode()
+        ).hexdigest()
+        assert v4_key != grammar_fingerprint(figure1)
+        cache = AutomatonCache(tmp_path)
+        (tmp_path / f"{v4_key}.json").write_text(document)
+        build_automaton_cached(figure1, cache, "lalr")
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 0)
+
+        current = tmp_path / f"{grammar_fingerprint(figure1)}.json"
+        current.write_text(document)
+        rebuilt = build_automaton_cached(figure1, cache, "lalr")
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 2, 1)
+        assert len(rebuilt.conflicts) == 3
+        assert len(build_automaton_cached(figure1, cache, "lalr").conflicts) == 3
         assert cache.hits == 1
 
 

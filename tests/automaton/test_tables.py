@@ -102,7 +102,7 @@ class TestPrecedenceResolution:
 
     def test_resolved_count_tracked(self):
         auto = build_lalr(load_grammar("%left '+'\ne : e '+' e | ID ;"))
-        assert auto.tables.resolved_count > 0
+        assert len(auto.resolutions) > 0
 
     @staticmethod
     def _action_after(auto, symbols, probe, stop_lhs):

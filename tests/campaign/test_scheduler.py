@@ -9,6 +9,7 @@ checks the resume contract end to end.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.campaign.runner as runner_module
 import repro.campaign.scheduler as scheduler_module
 from repro.campaign.report import merge_shard_documents, render_report
 from repro.campaign.runner import UnitResult
@@ -131,6 +133,36 @@ class TestProcessPool:
         seq_report, _ = merge_shard_documents([json.loads(seq.read_text())])
         pool_report, _ = merge_shard_documents([json.loads(pool.read_text())])
         assert render_report(seq_report) == render_report(pool_report)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched unit reaches the workers only through fork",
+    )
+    def test_unit_that_kills_its_worker_ends_as_an_error(
+        self, tmp_path, monkeypatch
+    ):
+        def crashing_execute(unit, spec, cache=None, attempt=1):
+            if unit.id == "fuzz:00000001":
+                os._exit(3)
+            return _stub_execute(unit, spec, cache, attempt)
+
+        monkeypatch.setattr(runner_module, "execute_unit", crashing_execute)
+        spec = CampaignSpec(fuzz_iterations=4)
+        path = CampaignScheduler(spec, tmp_path, jobs=2, retries=1).run_shard((1, 1))
+        document = json.loads(path.read_text())
+        outcomes = {uid: unit["outcome"] for uid, unit in document["units"].items()}
+        assert outcomes == {
+            "fuzz:00000000": "ok",
+            "fuzz:00000001": "error",
+            "fuzz:00000002": "ok",
+            "fuzz:00000003": "ok",
+        }
+        payload = document["units"]["fuzz:00000001"]["payload"]
+        assert payload["error_type"] == "WorkerDied"
+        assert document["telemetry"]["retried"] == 1
+        # A resume finds every unit done instead of dying on the same one.
+        resumed = CampaignScheduler(spec, tmp_path, jobs=2, retries=1).run_shard((1, 1))
+        assert json.loads(resumed.read_text())["telemetry"]["executed"] == 0
 
 
 class TestKillResume:

@@ -130,12 +130,15 @@ class ReferenceSuccessorGenerator:
         self.conflict = conflict
         self.allowed_prepend_states = allowed_prepend_states
         # Hot-path state, hoisted once per conflict: the successor methods
-        # run for every explored configuration, so attribute chains,
-        # Symbol-keyed dict probes, and set-based lookahead membership
-        # tests are replaced by flat arrays and int masks.
+        # run for every explored configuration, so attribute chains are
+        # hoisted and set-based lookahead membership tests are replaced by
+        # int masks.
         self._states = automaton.lr0.states
-        self._arrays = automaton.lr0.arrays
-        self._masks = automaton.lookahead_masks
+        self._predecessors = automaton.lr0.predecessors
+        index = automaton.lr0.index
+        self._masks = dict(
+            zip(zip(index.state_of, index.item_of), automaton.masks_by_id)
+        )
         self._terminal_bit = automaton.terminal_bit(conflict.terminal)
         #: (production index, dot) -> FIRST symbols of rhs[dot:] + nullable.
         self._tail_first: dict[tuple[int, int], tuple[frozenset[Symbol], bool]] = {}
@@ -197,11 +200,11 @@ class ReferenceSuccessorGenerator:
         parent_state_id, parent_item = items[-(arity + 2)]
         if parent_item.next_symbol != production.lhs:
             return None
-        goto_id = self._arrays.goto_id(parent_state_id, production.lhs)
-        if goto_id < 0:
+        goto = self._states[parent_state_id].transitions.get(production.lhs)
+        if goto is None:
             return None
 
-        new_items = items[: -(arity + 1)] + ((goto_id, parent_item.advance()),)
+        new_items = items[: -(arity + 1)] + ((goto.id, parent_item.advance()),)
 
         # Does this fold remove the original conflict item? The fold pops
         # the last `arity + 1` entries (the production's dot-walk), so it
@@ -271,22 +274,17 @@ class ReferenceSuccessorGenerator:
             # conflict terminal, otherwise the example would not exhibit
             # this conflict.
             return
-        arrays = self._arrays
-        code = arrays.code.get(symbol)
-        if code is None:
-            return
-        stride, goto_flat = arrays.stride, arrays.goto_flat
-        target1 = goto_flat[state1 * stride + code]
-        target2 = goto_flat[state2 * stride + code]
-        if target1 < 0 or target2 < 0:
+        goto1 = self._states[state1].transitions.get(symbol)
+        goto2 = self._states[state2].transitions.get(symbol)
+        if goto1 is None or goto2 is None:
             return
         leaf = dleaf(symbol)
         yield (
             "transition",
             COST_TRANSITION,
             ReferenceConfiguration(
-                config.items1 + ((target1, item1.advance()),),
-                config.items2 + ((target2, item2.advance()),),
+                config.items1 + ((goto1.id, item1.advance()),),
+                config.items2 + ((goto2.id, item2.advance()),),
                 config.derivs1 + (leaf,),
                 config.derivs2 + (leaf,),
                 config.conflict1,
@@ -436,7 +434,7 @@ class ReferenceSuccessorGenerator:
         check1 = not config.complete1
         check2 = not config.complete2 and not self.conflict.is_shift_reduce
         item_sets = self.lookups.item_sets
-        for pred_id in self._arrays.predecessor_ids(head_state_id, symbol):
+        for pred_id in self._predecessors[head_state_id]:
             if (
                 self.allowed_prepend_states is not None
                 and pred_id not in self.allowed_prepend_states

@@ -55,7 +55,9 @@ def test_lookahead_views_render_like_frozensets():
     """Anything formatting a lookahead set (sorted, joined, str()-ed per
     terminal) sees the same sequence from a view as from a frozenset."""
     automaton = build_lalr(get("figure1").load())
-    for view in automaton.lookaheads.values():
+    index = automaton.lr0.index
+    for node in range(len(index)):
+        view = automaton.lookahead(*index.pair(node))
         reference = frozenset(view)
         assert sorted(str(t) for t in view) == sorted(
             str(t) for t in reference

@@ -8,10 +8,12 @@ once per run and the walk not at all on a warm cache.
 
 import pytest
 
-from repro.automaton import LR1Automaton, ProvenanceVerdict, build_ielr
+from repro.automaton import LR1Automaton, ProvenanceVerdict, build_ielr, build_lalr
+from repro.automaton.serialize import dump_automaton, load_automaton
 from repro.campaign.runner import execute_unit
 from repro.campaign.units import CampaignSpec, WorkUnit
 from repro.corpus import load
+from repro.grammar import Terminal, load_grammar
 from repro.grammar.emit import dump_grammar
 from repro.lint import LintContext, run_lint
 from repro.perf import metrics
@@ -76,6 +78,55 @@ class TestServiceWorker:
         assert span_count(warm["phases"], "analysis/walk") == 0
         for key in ("lint", "ambiguity", "reports", "summary"):
             assert cold[key] == warm[key]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """A list that grows by one per ACTION/GOTO table construction."""
+    import repro.automaton.tables as tables_module
+
+    builds = []
+    original = tables_module.build_tables
+
+    def counting(automaton):
+        builds.append(1)
+        return original(automaton)
+
+    monkeypatch.setattr(tables_module, "build_tables", counting)
+    return builds
+
+
+class TestNoParseTables:
+    """Lint reads conflicts and precedence from the automaton, never the tables."""
+
+    GRAMMAR = "%left '+'\n%right '^'\ne : e '+' e | e '*' e | ID ;"
+
+    def test_cold_and_decoded_automata(self, table_builds):
+        grammar = load_grammar(self.GRAMMAR)
+        automaton = build_lalr(grammar)
+        decoded = load_automaton(dump_automaton(automaton))
+        for subject in (automaton, decoded):
+            report = run_lint(grammar, context=LintContext(grammar, automaton=subject))
+            assert any(d.rule_id == "unused-precedence" for d in report.diagnostics)
+        assert table_builds == []
+        assert automaton.used_precedence == {Terminal("+")}
+
+    def test_campaign_unit_and_service_lint(self, tmp_path, table_builds):
+        cache = AutomatonCache(tmp_path)
+        for _ in ("cold", "warm"):
+            result = execute_unit(WorkUnit("corpus", "figure1"), CampaignSpec(), cache)
+            assert result.outcome == "ok", result.payload
+            response = run_analysis(
+                {
+                    "grammar": dump_grammar(load("figure1")),
+                    "name": "figure1",
+                    "cache_dir": str(tmp_path),
+                    "options": {"lint": True},
+                }
+            )
+            assert response["ok"] and response["lint"]
+            assert span_count(response["phases"], "tables") == 0
+        assert table_builds == []
 
 
 class TestCappedProvenance:

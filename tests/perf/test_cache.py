@@ -82,7 +82,7 @@ class TestCache:
     def test_cached_automaton_is_equivalent(self, cache, figure1):
         built = build_automaton_cached(figure1, cache, "lalr")
         loaded = build_automaton_cached(figure1, cache, "lalr")
-        assert loaded.lookaheads == built.lookaheads
+        assert loaded.masks_by_id == built.masks_by_id
         assert [str(c) for c in loaded.conflicts] == [
             str(c) for c in built.conflicts
         ]

@@ -40,20 +40,25 @@ def random_grammars(draw):
     return builder.build(start="n0")
 
 
+def _views(automaton):
+    """The lookahead view of every ``(state, item)`` pair, in id order."""
+    index = automaton.lr0.index
+    return [automaton.lookahead(*index.pair(node)) for node in range(len(index))]
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(random_grammars())
 def test_mask_fixpoint_matches_frozenset_oracle(grammar):
     """Same keys, same sets: the bitmask fixpoint is the oracle, faster."""
     automaton = build_lalr(grammar)
     oracle = compute_lalr_lookaheads(automaton.lr0, automaton.analysis)
-    assert set(automaton.lookahead_masks) == set(oracle)
-    for key, expected in oracle.items():
-        state_id, item = key
-        view = automaton.lookaheads[key]
+    index = automaton.lr0.index
+    assert [index.pair(node) for node in range(len(index))] == list(oracle)
+    for mask, (key, expected) in zip(automaton.masks_by_id, oracle.items()):
+        view = automaton.lookahead(*key)
         assert view == expected
         assert frozenset(view) == expected
         # Round-trip through the table agrees with the raw mask.
-        mask = automaton.lookahead_mask(state_id, item)
         assert automaton.terminal_table.mask_of(expected) == mask
 
 
@@ -67,7 +72,7 @@ def test_membership_and_union_semantics(grammar):
         Terminal("NO_SUCH_TERMINAL"),
     ]
     for key, expected in oracle.items():
-        view = automaton.lookaheads[key]
+        view = automaton.lookahead(*key)
         for terminal in probes:
             assert (terminal in view) == (terminal in expected)
         assert (view | expected) == expected
@@ -79,7 +84,7 @@ def test_membership_and_union_semantics(grammar):
 def test_iteration_is_name_sorted(grammar):
     """Reports sort lookaheads by name; the views iterate that way natively."""
     automaton = build_lalr(grammar)
-    for view in automaton.lookaheads.values():
+    for view in _views(automaton):
         names = [terminal.name for terminal in view]
         assert names == sorted(names)
 
@@ -89,7 +94,7 @@ def test_iteration_is_name_sorted(grammar):
 def test_views_hash_like_frozensets(grammar):
     """Views and their frozenset equivalents collapse in sets/dict keys."""
     automaton = build_lalr(grammar)
-    views = list(automaton.lookaheads.values())
+    views = _views(automaton)
     frozensets = [frozenset(view) for view in views]
     assert set(views) == set(frozensets)
     for view, reference in zip(views, frozensets):

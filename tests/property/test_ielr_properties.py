@@ -107,7 +107,7 @@ def test_compact_serialization_decodes_identically(grammar):
     the automaton they were written from."""
     automaton = build_lalr(grammar)
     decoded = load_automaton(dump_automaton(automaton))
-    assert decoded.lookahead_masks == automaton.lookahead_masks
+    assert decoded.masks_by_id == automaton.masks_by_id
     assert len(decoded.states) == len(automaton.states)
     for original, loaded in zip(automaton.states, decoded.states):
         assert original.kernel == loaded.kernel

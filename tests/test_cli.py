@@ -478,3 +478,20 @@ class TestSignalCancellation:
         assert summary.num_conflicts == 3
         assert len(summary.reports) == 3
         assert all(r.rung.value == "stub" for r in summary.reports)
+
+
+class TestProfileOnEveryPath:
+    """``--profile``/``--profile-json`` hold for ``--lint`` and ``--fuzz`` too."""
+
+    def test_lint_writes_the_profile(self, tmp_path, capsys):
+        import json
+
+        target = tmp_path / "profile.json"
+        main(["--corpus", "figure1", "--lint", "--profile-json", str(target)])
+        document = json.loads(target.read_text())
+        assert "automaton/lookaheads" in document["spans"]
+        assert not any(path.endswith("tables") for path in document["spans"])
+
+    def test_fuzz_prints_the_profile(self, capsys):
+        assert main(["--fuzz", "1", "--seed", "0", "--quiet", "--profile"]) == 0
+        assert "top hotspots (exclusive time):" in capsys.readouterr().out
