@@ -448,8 +448,7 @@ def conflict_signatures(automaton: LALRAutomaton) -> frozenset[ConflictSignature
     iter_mask = table.iter_mask
     not_end = ~table.bit_of(END_OF_INPUT)
     signatures: set[ConflictSignature] = set()
-    for state in automaton.states:
-        reduce_items, masks, shift_mask = reduce_lookaheads(automaton, state)
+    for _state, reduce_items, masks, shift_mask in reduce_lookaheads(automaton):
         shift_mask &= not_end
         for index, item in enumerate(reduce_items):
             for terminal in iter_mask(masks[index] & shift_mask):

@@ -20,6 +20,7 @@ table dumps and the differential oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Union
 
 from repro.automaton.conflicts import Conflict, ConflictKind
@@ -101,26 +102,39 @@ def _resolve_shift_reduce(
     return "error"
 
 
-def reduce_lookaheads(automaton, state) -> tuple[list[Item], list[int], int]:
-    """*state*'s reduce items, their lookahead masks, and its shift mask.
+def reduce_lookaheads(automaton) -> list[tuple[object, list[Item], list[int], int]]:
+    """``(state, reduce items, their lookahead masks, shift mask)`` per state
+    that has a reduce item, in state order.
 
     The start production's item is left out (its ``$`` shift is the
     accept action). The shift mask has a bit for every terminal that
-    labels a transition out of *state*, ``$`` included.
+    labels a transition out of the state, ``$`` included. Reduce items
+    are found by id through the :class:`~repro.automaton.index.StateItemIndex`,
+    and only their states get a shift mask: no other state can conflict.
     """
+    index = automaton.lr0.index
+    states = automaton.states
     masks = automaton.masks_by_id
-    node = automaton.lr0.index.base[state.id]
+    item_of = index.item_of
+    state_of = index.state_of
+    mask_of = automaton.terminal_table.mask_of
+    accept = index.offsets[1] - 1  # item number of START' -> S $ •
+    numbers = index.item_number
+    found: list[tuple[object, list[Item], list[int], int]] = []
+    last = -1
     items: list[Item] = []
     item_masks: list[int] = []
-    for item in state.items:
-        if item.at_end and item.production.index != 0:
-            items.append(item)
-            item_masks.append(masks[node])
-        node += 1
-    shift_mask = automaton.terminal_table.mask_of(
-        symbol for symbol in state.transitions if symbol.is_terminal
-    )
-    return items, item_masks, shift_mask
+    for node in compress(range(len(numbers)), map((0).__le__, index.reduce_arity)):
+        if numbers[node] == accept:
+            continue
+        if state_of[node] != last:
+            last = state_of[node]
+            state = states[last]
+            items, item_masks = [], []
+            found.append((state, items, item_masks, mask_of(state.transitions)))
+        items.append(item_of[node])
+        item_masks.append(masks[node])
+    return found
 
 
 def find_conflicts(
@@ -144,8 +158,7 @@ def find_conflicts(
     terminals = automaton.terminal_table.terminals
     conflicts: list[Conflict] = []
     resolutions: dict[tuple[int, Terminal], tuple[str, Production]] = {}
-    for state in automaton.states:
-        items, masks, shift_mask = reduce_lookaheads(automaton, state)
+    for state, items, masks, shift_mask in reduce_lookaheads(automaton):
         seen = shared = 0
         for mask in masks:
             shared |= seen & mask
@@ -220,9 +233,10 @@ def build_tables(automaton) -> ParseTables:
                 assert isinstance(symbol, Nonterminal)
                 goto[state.id][symbol] = target.id
 
-        # Reductions: the earliest production wins each terminal (yacc
-        # default); a shift wins unless precedence says otherwise.
-        items, masks, _ = reduce_lookaheads(automaton, state)
+    # Reductions: the earliest production wins each terminal (yacc
+    # default); a shift wins unless precedence says otherwise.
+    for state, items, masks, _ in reduce_lookaheads(automaton):
+        row = action[state.id]
         pending = 0
         for mask in masks:
             pending |= mask

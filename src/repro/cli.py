@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "enable the content-addressed automaton cache; DIR defaults "
             "to $REPRO_CACHE_DIR or ~/.cache/repro/automatons. Repeat "
-            "runs on an unchanged grammar skip LALR construction"
+            "runs on an unchanged grammar skip LALR construction, and "
+            "the searches of conflicts a run with the same limits decided"
         ),
     )
     robust = parser.add_argument_group("resource governance")
@@ -488,6 +489,7 @@ def _run(args: argparse.Namespace) -> int:
             automaton,
             jobs=1 if args.jobs is None else args.jobs,
             token=token,
+            cache=cache,
             time_limit=args.time_limit,
             cumulative_limit=args.cumulative_limit,
             extended_search=args.extendedsearch,

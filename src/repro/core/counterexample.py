@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.automaton.conflicts import Conflict
-from repro.core.derivation import DOT, Derivation, format_symbols
-from repro.grammar import Nonterminal, Symbol, Terminal
+from repro.core.derivation import (
+    DOT,
+    Derivation,
+    derivation_from_tokens,
+    format_symbols,
+)
+from repro.grammar import Grammar, Nonterminal, Symbol, Terminal
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,43 @@ class Counterexample:
         return tuple(result)
 
     # ------------------------------------------------------------------ #
+
+    def to_json(self) -> dict[str, Any]:
+        """JSON-ready form; :meth:`from_json` restores it (conflict aside)."""
+        return {
+            "unifying": self.unifying,
+            "nonterminal": None if self.nonterminal is None else self.nonterminal.name,
+            "derivation1": self.derivation1.to_tokens(),
+            "derivation2": self.derivation2.to_tokens(),
+            "cost": self.search_cost,
+        }
+
+    @classmethod
+    def from_json(
+        cls, data: Mapping[str, Any], conflict: Conflict, grammar: Grammar
+    ) -> "Counterexample":
+        """The counterexample :meth:`to_json` encoded, for *conflict* of
+        *grammar*. Malformed *data* raises ``ValueError`` (or ``KeyError``,
+        ``IndexError``, ``TypeError``), and so do unifying derivations
+        that do not both expand the nonterminal to one sentential form.
+        """
+        name = data["nonterminal"]
+        example = cls(
+            conflict=conflict,
+            unifying=bool(data["unifying"]),
+            nonterminal=None if name is None else Nonterminal(name),
+            derivation1=derivation_from_tokens(data["derivation1"], grammar),
+            derivation2=derivation_from_tokens(data["derivation2"], grammar),
+            search_cost=float(data["cost"]),
+        )
+        first, second = example.derivation1, example.derivation2
+        if example.unifying and not (
+            first.children is not None
+            and first.symbol == second.symbol == example.nonterminal
+            and example.example1_symbols() == example.example2_symbols()
+        ):
+            raise ValueError("unifying derivations disagree")
+        return example
 
     def describe(self) -> str:
         """Multi-line, human-oriented description (see also repro.core.report)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.grammar import END_OF_INPUT, Production, Symbol
+from repro.grammar import END_OF_INPUT, Grammar, Production, Symbol
 from repro.parsing.tree import ParseTree, leaf as tree_leaf, node as tree_node
 
 
@@ -143,6 +143,22 @@ class Derivation:
     def __str__(self) -> str:
         return self.render()
 
+    def to_tokens(self) -> list[int | str]:
+        """Flat pre-order JSON tokens: per expanded node its production's
+        index and child count, per leaf its symbol's name, ``-1`` for the
+        dot (:func:`derivation_from_tokens` reads them back)."""
+        tokens: list[int | str] = []
+        stack: list[Derivation] = [self]
+        while stack:
+            node = stack.pop()
+            if node.children is not None:
+                assert node.production is not None
+                tokens += (node.production.index, len(node.children))
+                stack.extend(reversed(node.children))
+            else:
+                tokens.append(-1 if node.symbol is None else node.symbol.name)
+        return tokens
+
     def __reduce__(self) -> tuple:
         # Rebuild through the constructor: the cached ``_hash`` embeds
         # per-process-randomized string hashes and must be recomputed on
@@ -185,6 +201,35 @@ def dnode(production: Production, children: Sequence[Derivation]) -> Derivation:
                 f"child {child.symbol} does not match {expected} in {production}"
             )
     return Derivation(production.lhs, tuple(children), production)
+
+
+def derivation_from_tokens(tokens: Sequence[object], grammar: Grammar) -> Derivation:
+    """The derivation :meth:`Derivation.to_tokens` encoded, over *grammar*.
+
+    Each expanded node is rebuilt by :func:`dnode`, so its children must
+    match its production. Malformed tokens raise ``ValueError`` (or
+    ``IndexError``/``KeyError``/``TypeError``; ``RecursionError`` past
+    the interpreter's depth limit).
+    """
+    symbols = {symbol.name: symbol for symbol in grammar.symbols}
+    stream = iter(tokens)
+
+    def read() -> Derivation:
+        token = next(stream, None)
+        if type(token) is str:
+            return Derivation(symbols[token])
+        if token == -1:
+            return DOT
+        count = next(stream, None)
+        if type(token) is not int or token < 0 or type(count) is not int:
+            raise ValueError(f"bad derivation tokens {token!r}, {count!r}")
+        production = grammar.productions[token]
+        return dnode(production, [read() for _ in range(count)])
+
+    root = read()
+    if root is DOT or next(stream, None) is not None:
+        raise ValueError("not one derivation")
+    return root
 
 
 def format_symbols(elements: Sequence[object], hide_eof: bool = True) -> str:

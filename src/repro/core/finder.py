@@ -30,12 +30,18 @@ With ``retry_timed_out``, conflicts whose unifying search timed out are
 re-searched once afterwards with the leftover cumulative budget split
 among them. :meth:`CounterexampleFinder.finish` runs that retry round and
 aggregates; the serial pass and the parallel merge both end with it.
+
+With an automaton cache, decided explanations are stored in the
+automaton's cache entry; a later run with the same options serves them
+without the LASG or the search, re-proving them with Earley, and charges
+their stored seconds to the cumulative budget, as the first run did.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.walk import ConflictAmbiguity
 from repro.automaton.conflicts import Conflict
@@ -62,7 +68,14 @@ from repro.robust.degrade import (
     run_guarded,
 )
 from repro.robust.errors import Cancelled
-from repro.robust.faults import fire
+from repro.robust.faults import fire, registry
+
+if TYPE_CHECKING:
+    from repro.perf.cache import AutomatonCache
+
+#: Version of the stored explanations; bump it when the search or the
+#: nonunifying builder can explain a conflict differently.
+EXPLANATION_VERSION = 1
 
 
 @dataclass
@@ -154,6 +167,7 @@ class CounterexampleFinder:
         verify_step_budget: int | None = 1_000_000,
         retry_timed_out: bool = False,
         token: CancellationToken | None = None,
+        cache: AutomatonCache | None = None,
     ) -> None:
         """
         Args:
@@ -181,6 +195,9 @@ class CounterexampleFinder:
             token: Cooperative cancellation; once cancelled, in-flight
                 work stops and remaining conflicts get stub entries, so
                 the summary stays complete.
+            cache: The automaton cache whose entry stores and serves
+                decided explanations (see the module notes); not read
+                or written while a fault spec is armed.
         """
         if isinstance(source, LALRAutomaton):
             self.automaton = source
@@ -210,6 +227,17 @@ class CounterexampleFinder:
         self.nonunifying = NonunifyingBuilder(self.automaton, graph=self.graph)
         self._earley = EarleyParser(self.grammar)
         self._unifying_budget_spent = 0.0
+        self.cache = cache
+        #: The explanation block's key: every option that can change an
+        #: outcome. Per conflict, the block's entry (looked up once), and
+        #: the conflict indices served from it.
+        self._key = {"version": EXPLANATION_VERSION, "options": dict(
+            time_limit=time_limit, cumulative_limit=cumulative_limit,
+            max_configurations=max_configurations, verify=verify,
+            extended_search=extended_search,
+        )}
+        self._stored: list[Any] | None = None
+        self._served: set[int] = set()
 
     # ------------------------------------------------------------------ #
 
@@ -235,6 +263,86 @@ class CounterexampleFinder:
         """
         with metrics.span("explain"):
             return self._explain(conflict)
+
+    def _caching(self) -> bool:
+        return self.cache is not None and not registry().active
+
+    def serve(self, index: int) -> FinderReport | None:
+        """Conflict *index*'s stored explanation, or ``None`` on a miss.
+
+        With ``verify`` on, a unifying counterexample is re-proved by
+        Earley; a failed check or an entry that does not decode is a
+        miss. A hit charges its stored search seconds to the cumulative
+        budget; once that is spent, nothing is served (nor searched).
+        """
+        if not self._caching() or self._unifying_budget_spent >= self.cumulative_limit:
+            return None
+        if self._stored is None:
+            assert self.cache is not None
+            self._stored = self.cache.get_block(
+                self.grammar, self.automaton, "explanations", self._key
+            ) or [None] * len(self.conflicts)
+        entry = self._stored[index]
+        report = None if entry is None else self._replay(self.conflicts[index], entry)
+        metrics.count("explain.cache.miss" if report is None else "explain.cache.hit")
+        if report is not None:
+            self._served.add(index)
+            self._unifying_budget_spent += float(entry["elapsed"])
+        return report
+
+    def _replay(self, conflict: Conflict, entry: dict[str, Any]) -> FinderReport | None:
+        with metrics.span("explain"):
+            started = time.monotonic()
+            try:
+                example = Counterexample.from_json(entry, conflict, self.grammar)
+                stats = SearchStats(
+                    int(entry["explored"]), int(entry["enqueued"]),
+                    float(entry["elapsed"]), exhausted=not example.unifying,
+                )
+            except (KeyError, IndexError, TypeError, ValueError, RecursionError):
+                return None
+            verified = True if example.unifying and self.verify else None
+            if entry.get("verified") != verified or not 0 <= stats.elapsed < float("inf"):
+                return None
+            if verified:
+                with metrics.span("verify"):
+                    try:
+                        checked = run_guarded(Stage.VERIFY, self._verify, example)
+                    except Cancelled:
+                        return None  # the search path stubs the conflict
+                if not (checked.ok and checked.value):
+                    return None
+        return FinderReport(
+            conflict=conflict,
+            counterexample=example,
+            unifying_time=time.monotonic() - started,
+            timed_out=False,
+            stats=stats,
+            verified=verified,
+            rung=Rung.UNIFYING if example.unifying else Rung.NONUNIFYING,
+        )
+
+    def _store(self, reports: list[FinderReport]) -> None:
+        """Write the decided explanations among *reports* to the cache
+        entry, when some were not served from it (see :func:`_decided`)."""
+        if not self._caching() or self._stored is None:
+            return
+        entries = [
+            self._stored[index] if index in self._served else _decided(report)
+            for index, report in enumerate(reports)
+        ]
+        fresh = sum(entry is not None for entry in entries) - len(self._served)
+        if not fresh:
+            return
+        assert self.cache is not None
+        try:
+            written = self.cache.put_block(
+                self.grammar, self.automaton, "explanations", self._key, entries
+            )
+        except OSError:
+            return  # a read-only cache directory must not fail the run
+        if written is not None:
+            metrics.count("explain.cache.stored", fresh)
 
     def _explain(self, conflict: Conflict) -> FinderReport:
         started = time.monotonic()
@@ -382,8 +490,11 @@ class CounterexampleFinder:
         conflicts = self.conflicts
         reports: list[FinderReport] = []
         try:
-            for conflict in conflicts:
-                reports.append(self.explain(conflict))
+            # In conflict order, hits interleaved with searches, so each
+            # search sees the cumulative budget it saw on the first run.
+            for index, conflict in enumerate(conflicts):
+                served = self.serve(index)
+                reports.append(served if served is not None else self.explain(conflict))
         except Cancelled as error:
             for conflict in conflicts[len(reports):]:
                 reports.append(self.cancelled_report(conflict, error))
@@ -396,7 +507,7 @@ class CounterexampleFinder:
         retry round upgrades entries in place. The cumulative budget
         already spent is what the reports' searches took, so the
         outcome is the same whether this finder or pool workers
-        produced them.
+        produced them. The decided explanations are then stored.
         """
         retried = upgraded = 0
         if self.retry_timed_out and not (self.token and self.token.cancelled):
@@ -431,6 +542,7 @@ class CounterexampleFinder:
                     summary.num_skipped_search += 1
             if not report.timed_out:
                 summary.total_time += report.unifying_time
+        self._store(reports)
         return summary
 
     def cancelled_report(
@@ -532,6 +644,20 @@ class CounterexampleFinder:
             )
         except DerivationBudgetExceeded:
             return False
+
+
+def _decided(report: FinderReport) -> dict[str, Any] | None:
+    """The stored form of *report* if its outcome cannot depend on the
+    clock, the load or faults: a unifying counterexample, or a nonunifying
+    one after an exhausted search. ``None`` for timeouts, configuration-cap
+    stops, skipped searches, stubs, retried and degraded reports."""
+    stats, example = report.stats, report.counterexample
+    if stats is None or example is None or report.degradations or report.retried:
+        return None
+    if not (example.unifying or stats.exhausted):
+        return None
+    return {**example.to_json(), "verified": report.verified, "explored": stats.explored,
+            "enqueued": stats.enqueued, "elapsed": stats.elapsed}
 
 
 def explain_conflicts(

@@ -99,6 +99,30 @@ def _fingerprint(canonical: str, algorithm: str) -> str:
 #: Quarantined corrupt entries kept per cache directory (oldest pruned).
 MAX_QUARANTINED = 8
 
+#: The named blocks an entry may carry after the automaton, each with
+#: the key of its per-conflict list: the walk verdicts
+#: (:attr:`~repro.lint.context.LintContext.ambiguity_verdicts`) and the
+#: decided explanations (:class:`~repro.core.finder.CounterexampleFinder`).
+BLOCKS = {"ambiguity": "verdicts", "explanations": "explanations"}
+
+
+def _conflict_fields(conflict: Conflict) -> dict[str, Any]:
+    """The fields naming *conflict* in every block entry."""
+    items = (conflict.reduce_item, conflict.other_item)
+    return {
+        "state": conflict.state_id,
+        "terminal": conflict.terminal.name,
+        "items": [n for item in items for n in (item.production.index, item.dot)],
+    }
+
+
+def _blocks_text(blocks: dict[str, Any]) -> str:
+    """The ``,"name":{...}`` members *blocks* add at the end of an entry."""
+    return "".join(
+        f',"{name}":{json.dumps(block, separators=(",", ":"))}'
+        for name, block in blocks.items()
+    )
+
 
 class AutomatonCache:
     """Directory of serialized automatons keyed by grammar fingerprint.
@@ -121,11 +145,11 @@ class AutomatonCache:
         self.misses = 0
         self.quarantined = 0
         self.write_failures = 0
-        #: The entry path, text and raw ``"ambiguity"`` block (or
-        #: ``None``) behind each automaton this cache decoded or stored,
-        #: so the verdict calls neither re-read nor re-parse the entry.
+        #: The entry path, text and named blocks (:data:`BLOCKS`, in
+        #: entry order) behind each automaton this cache decoded or
+        #: stored, so the block calls neither re-read nor re-parse it.
         self._entries: weakref.WeakKeyDictionary[
-            LALRAutomaton, tuple[Path, str, Any]
+            LALRAutomaton, tuple[Path, str, dict[str, Any]]
         ] = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------ #
@@ -248,7 +272,8 @@ class AutomatonCache:
             return None
         self.hits += 1
         metrics.count("cache.hit")
-        self._entries[automaton] = (path, text, document.get("ambiguity"))
+        blocks = {name: document[name] for name in document if name in BLOCKS}
+        self._entries[automaton] = (path, text, blocks)
         return automaton
 
     def put(
@@ -271,7 +296,99 @@ class AutomatonCache:
         with metrics.span("cache/encode"):
             text = dump_automaton(automaton, canonical)
         self._atomic_write(path, text)
-        self._entries[automaton] = (path, text, None)
+        self._entries[automaton] = (path, text, {})
+        return path
+
+    def get_block(
+        self,
+        grammar: Grammar,
+        automaton: LALRAutomaton,
+        name: str,
+        header: dict[str, Any],
+    ) -> list[Any] | None:
+        """The per-conflict entries of the entry's *name* block, or ``None``.
+
+        Blocks (:data:`BLOCKS`) are extra keys of the entry document,
+        ignored by the serialization reader. For an automaton this cache
+        decoded or stored, the block comes from that document, else from
+        disk. It is a miss unless it has every *header* field and one
+        entry (or ``null``) per conflict of *automaton*, each naming that
+        conflict's state, terminal and items.
+        """
+        entry = self._entries.get(automaton)
+        if entry is not None:
+            block = entry[2].get(name)
+        else:
+            path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
+            try:
+                document = json.loads(path.read_text())
+            except (OSError, ValueError):
+                return None
+            block = document.get(name) if isinstance(document, dict) else None
+        if not isinstance(block, dict) or any(
+            block.get(key) != value for key, value in header.items()
+        ):
+            return None
+        entries = block.get(BLOCKS[name])
+        conflicts = automaton.conflicts
+        if not isinstance(entries, list) or len(entries) != len(conflicts):
+            return None
+        for conflict, item in zip(conflicts, entries):
+            if item is None:
+                continue
+            if not isinstance(item, dict) or any(
+                item.get(key) != value
+                for key, value in _conflict_fields(conflict).items()
+            ):
+                return None
+        return entries
+
+    def put_block(
+        self,
+        grammar: Grammar,
+        automaton: LALRAutomaton,
+        name: str,
+        header: dict[str, Any],
+        entries: list[dict[str, Any] | None],
+    ) -> Path | None:
+        """Store *automaton*'s entry with a *name* block: *header* plus
+        one of *entries* (or ``None``) per conflict, in conflict order.
+
+        The block is spliced, without parsing, into the entry text this
+        cache decoded or stored for *automaton* (else the automaton
+        serialized afresh), in place of an older block of that name or
+        after the others. Returns ``None`` when nothing was written.
+        """
+        conflicts = automaton.conflicts
+        block = {
+            **header,
+            BLOCKS[name]: [
+                None if item is None else {**_conflict_fields(conflict), **item}
+                for conflict, item in zip(conflicts, entries)
+            ],
+        }
+        entry = self._entries.get(automaton)
+        if entry is not None:
+            path, text, blocks = entry
+        else:
+            canonical = dump_grammar(grammar)
+            path = self._path_for(_fingerprint(canonical, automaton.algorithm))
+            with metrics.span("cache/encode"):
+                text, blocks = dump_automaton(automaton, canonical), {}
+        updated = {**blocks, name: block}
+        tail = _blocks_text(blocks) + "}"
+        if text.endswith(tail):
+            # The blocks close the entry, where re-serializing the parsed
+            # document with the new block would put them.
+            text = text[: len(text) - len(tail)] + _blocks_text(updated) + "}"
+        else:
+            document = json.loads(text)
+            document[name] = block
+            text = json.dumps(document, separators=(",", ":"))
+        if not self._atomic_write(path, text):
+            return None
+        if entry is not None:
+            self._entries[automaton] = (path, text, updated)
         return path
 
     def get_verdicts(
@@ -279,43 +396,20 @@ class AutomatonCache:
     ) -> dict[Conflict, ConflictAmbiguity] | None:
         """Memoized ambiguity verdicts for *automaton*, or ``None``.
 
-        The verdicts ride inside the cached automaton document as an
-        optional ``"ambiguity"`` block — unknown to (and ignored by) the
-        serialization reader, so a verdict-bearing entry stays loadable.
-        For an automaton this cache decoded or stored, the block comes
-        from that document; any other automaton's entry is read from
-        disk. A block from a different analysis version, or one whose
-        conflicts disagree with the automaton's (hash collision,
-        hand-edited file), is a miss.
+        Read from the entry's ``"ambiguity"`` block (:meth:`get_block`);
+        a block from a different analysis version is a miss.
         """
-        entry = self._entries.get(automaton)
-        if entry is not None:
-            block = entry[2]
-        else:
-            path = self._path_for(grammar_fingerprint(grammar, automaton.algorithm))
-            try:
-                document = json.loads(path.read_text())
-            except (OSError, ValueError):
-                return None
-            block = document.get("ambiguity") if isinstance(document, dict) else None
-        if not isinstance(block, dict):
-            return None
-        if block.get("analysis_version") != ANALYSIS_VERSION:
-            return None
-        entries = block.get("verdicts")
-        conflicts = automaton.conflicts
-        if not isinstance(entries, list) or len(entries) != len(conflicts):
+        entries = self.get_block(
+            grammar, automaton, "ambiguity", {"analysis_version": ANALYSIS_VERSION}
+        )
+        if entries is None or None in entries:
             return None
         terminals = {t.name: t for t in automaton.grammar.terminals}
-        verdicts: dict[Conflict, ConflictAmbiguity] = {}
         try:
-            for conflict, item in zip(conflicts, entries):
-                if (
-                    item["state"] != conflict.state_id
-                    or item["terminal"] != conflict.terminal.name
-                ):
-                    return None
-                verdicts[conflict] = ConflictAmbiguity.from_json(item, terminals)
+            verdicts = {
+                conflict: ConflictAmbiguity.from_json(item, terminals)
+                for conflict, item in zip(automaton.conflicts, entries)
+            }
         except (KeyError, TypeError, ValueError):
             return None
         metrics.count("cache.verdicts.hit")
@@ -330,48 +424,19 @@ class AutomatonCache:
         """Store *automaton*'s entry with *verdicts* as its ambiguity block.
 
         Requires a complete verdict map (one per reported conflict);
-        partial maps are not stored. The entry text is the one this
-        cache decoded or stored for *automaton*, or else the automaton
-        serialized afresh, so verdict memoization works even for runs
-        that built the automaton uncached; the file is never read back.
-        Returns ``None`` when nothing was written.
+        partial maps are not stored. Returns ``None`` when nothing was
+        written (see :meth:`put_block`).
         """
         conflicts = automaton.conflicts
         if any(conflict not in verdicts for conflict in conflicts):
             return None
-        block = {
-            "analysis_version": ANALYSIS_VERSION,
-            "verdicts": [
-                {
-                    "state": conflict.state_id,
-                    "terminal": conflict.terminal.name,
-                    **verdicts[conflict].to_json(),
-                }
-                for conflict in conflicts
-            ],
-        }
-        entry = self._entries.get(automaton)
-        if entry is not None:
-            path, text, previous = entry
-        else:
-            canonical = dump_grammar(grammar)
-            path = self._path_for(_fingerprint(canonical, automaton.algorithm))
-            with metrics.span("cache/encode"):
-                text, previous = dump_automaton(automaton, canonical), None
-        if previous is None and text.endswith("}"):
-            # A compact entry without a block: the block goes last, where
-            # re-serializing the parsed document with it would put it.
-            block_text = json.dumps(block, separators=(",", ":"))
-            text = f'{text[:-1]},"ambiguity":{block_text}}}'
-        else:
-            document = json.loads(text)
-            document["ambiguity"] = block
-            text = json.dumps(document, separators=(",", ":"))
-        if not self._atomic_write(path, text):
-            return None
-        if entry is not None:
-            self._entries[automaton] = (path, text, block)
-        return path
+        return self.put_block(
+            grammar,
+            automaton,
+            "ambiguity",
+            {"analysis_version": ANALYSIS_VERSION},
+            [verdicts[conflict].to_json() for conflict in conflicts],
+        )
 
     def clear(self) -> int:
         """Delete every cache entry (and quarantine file); returns the

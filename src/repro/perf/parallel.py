@@ -23,6 +23,9 @@ Design notes:
   time in the worst case. This errs on the side of finding more unifying
   counterexamples; serial-equivalent accounting would need a shared
   clock across processes for no user-visible benefit.
+* With an automaton cache, the parent's finder serves the conflicts whose
+  explanations the cache entry stores before the pool starts; only the
+  misses go to the workers, and no pool starts when nothing missed.
 * The parent builds one :class:`~repro.core.finder.CounterexampleFinder`
   and hands it the merged, conflict-ordered reports:
   :meth:`~repro.core.finder.CounterexampleFinder.finish` runs the
@@ -57,6 +60,8 @@ from repro.robust.errors import Cancelled
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.perf.cache import AutomatonCache
 
 #: Seconds between cancellation-token polls while waiting on workers.
 POLL_SECONDS = 0.05
@@ -106,6 +111,7 @@ def explain_all_parallel(
     source: Grammar | LALRAutomaton,
     jobs: int | None = None,
     token: CancellationToken | None = None,
+    cache: AutomatonCache | None = None,
     **finder_kwargs: Any,
 ) -> FinderSummary:
     """Parallel drop-in for :meth:`CounterexampleFinder.explain_all`.
@@ -116,6 +122,8 @@ def explain_all_parallel(
             ``1`` falls back to the serial finder in-process (no pool).
         token: Cooperative cancellation, polled by the parent; see the
             module notes.
+        cache: The automaton cache whose stored explanations the
+            parent serves (see the module notes).
         **finder_kwargs: Forwarded to :class:`CounterexampleFinder` in
             the parent and every worker (``time_limit``, ``verify``,
             ``retry_timed_out``, ...).
@@ -127,10 +135,16 @@ def explain_all_parallel(
     """
     jobs = resolve_jobs(jobs)
     automaton = source if isinstance(source, LALRAutomaton) else build_lalr(source)
-    finder = CounterexampleFinder(automaton, token=token, **finder_kwargs)
+    finder = CounterexampleFinder(automaton, token=token, cache=cache, **finder_kwargs)
     conflicts = automaton.conflicts
     if jobs == 1 or len(conflicts) <= 1:
         return finder.explain_all()
+    reports: list[FinderReport | None] = [
+        finder.serve(index) for index in range(len(conflicts))
+    ]
+    pending = [index for index, report in enumerate(reports) if report is None]
+    if not pending:
+        return finder.finish(reports)
 
     # Imported here: the serial path (and CLI start-up) skips the cost.
     from concurrent.futures import ProcessPoolExecutor
@@ -141,19 +155,16 @@ def explain_all_parallel(
         payload = dump_automaton(automaton)
     collector = metrics.active()
 
-    reports: list[FinderReport | None] = [None] * len(conflicts)
     with metrics.span("parallel/pool"):
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(conflicts)),
+            max_workers=min(jobs, len(pending)),
             initializer=_init_worker,
             initargs=(payload, finder_kwargs, collector is not None),
         ) as pool:
-            futures = [
-                pool.submit(_explain_index, index) for index in range(len(conflicts))
-            ]
+            futures = [pool.submit(_explain_index, index) for index in pending]
             # Collected in submission order: reports come back in conflict
             # order no matter which worker finishes first.
-            for index, future in enumerate(futures):
+            for index, future in zip(pending, futures):
                 outcome = _result_unless_cancelled(future, token)
                 if outcome is None:
                     _stop(pool)
@@ -161,7 +172,9 @@ def explain_all_parallel(
                 reports[index], delta = outcome
                 if collector is not None and delta is not None:
                     collector.merge(metrics.MetricsCollector.from_json(delta))
-    metrics.count("parallel.tasks", sum(report is not None for report in reports))
+    metrics.count(
+        "parallel.tasks", sum(reports[index] is not None for index in pending)
+    )
 
     if None in reports:
         assert token is not None

@@ -56,7 +56,8 @@ def run_analysis(payload: Mapping[str, Any]) -> dict[str, Any]:
     The payload mirrors :class:`~repro.service.protocol.AnalyzeRequest`
     plus service context (``cache_dir``). Returns a result dict with
     per-phase metrics — a cache-warm request shows no ``automaton``
-    build phase, which is how the service's metrics surface cache hits.
+    build phase, which is how the service's metrics surface cache hits,
+    and no ``explain/search`` for the conflicts the entry explains.
     """
     options = payload.get("options", {})
     sleep_s = float(options.get("chaos_sleep_s", 0.0) or 0.0)
@@ -94,6 +95,7 @@ def run_analysis(payload: Mapping[str, Any]) -> dict[str, Any]:
                 cumulative_limit=float(options.get("cumulative_limit", 30.0)),
                 verify=bool(options.get("verify", True)),
                 max_configurations=int(options.get("max_configurations", 500_000)),
+                cache=cache,
             )
             summary = finder.explain_all()
             ambiguity: list[dict[str, Any]] | None = None

@@ -442,6 +442,7 @@ class FuzzHarness:
                 cumulative_limit=self.cumulative_limit,
                 verify=True,
                 verify_step_budget=self.verify_step_budget,
+                cache=self.automaton_cache,
             )
             summary = finder.explain_all()
         except Exception as error:  # noqa: BLE001

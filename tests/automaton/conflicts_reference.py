@@ -7,12 +7,14 @@ is a reduce/reduce conflict, and where the state also shifts the
 terminal, unless precedence decides it for the earliest production,
 every (reduce item, shift item) pair is a shift/reduce conflict.
 :func:`reference_precedence` tallies the overlaps precedence decided the
-way the old table builder did.
+way the old table builder did, and :func:`reference_signatures` gives
+the raw (pre-precedence) signatures that
+:func:`repro.automaton.ielr.conflict_signatures` must report.
 """
 
 from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.tables import _find_shift_items, _resolve_shift_reduce
-from repro.grammar import Terminal
+from repro.grammar import END_OF_INPUT, Terminal
 
 
 def _reducers(automaton, state):
@@ -50,6 +52,25 @@ def reference_precedence(automaton):
                     [s for s in production.rhs if isinstance(s, Terminal)][-1:]
                 )
     return resolved, frozenset(used)
+
+
+def reference_signatures(automaton):
+    """Raw conflict signatures, per terminal, before precedence.
+
+    The ``$`` shift out of ``START' -> S . $`` is the accept action, so
+    ``$`` never makes a shift/reduce signature (as in the canonical
+    LR(1) signatures the differential oracle compares with).
+    """
+    signatures = set()
+    for state in automaton.states:
+        for terminal, items in _reducers(automaton, state).items():
+            keys = [(item.production.index, item.dot) for item in items]
+            if terminal in state.transitions and terminal != END_OF_INPUT:
+                signatures.update(("sr", terminal.name, key) for key in keys)
+            for index, first in enumerate(keys):
+                for second in keys[index + 1 :]:
+                    signatures.add(("rr", terminal.name, frozenset({first, second})))
+    return frozenset(signatures)
 
 
 def reference_conflicts(automaton):

@@ -6,16 +6,23 @@ only the terminals where lookahead masks overlap. Both must give equal
 lists — same conflicts, kinds and order — and the same precedence
 bookkeeping (resolved count, used precedence) on every corpus grammar
 under every construction and on generated grammars, and the parse
-tables must carry that same list.
+tables must carry that same list. IELR's raw signature pass
+(:func:`~repro.automaton.ielr.conflict_signatures`), the second producer
+of conflicts, must agree with the same per-terminal reference.
 """
 
 from __future__ import annotations
 
 import pytest
-from conflicts_reference import reference_conflicts, reference_precedence
+from conflicts_reference import (
+    reference_conflicts,
+    reference_precedence,
+    reference_signatures,
+)
 from test_decode_parity import _cases
 
 from repro.automaton import build_automaton
+from repro.automaton.ielr import conflict_signatures
 from repro.automaton.tables import find_conflicts
 from repro.corpus import load
 from repro.grammar import Terminal, load_grammar
@@ -43,6 +50,29 @@ def test_corpus_conflicts_match_the_reference(name, algorithm):
 @pytest.mark.parametrize("algorithm", ["lalr", "ielr"])
 def test_fuzz_conflicts_match_the_reference(seed, algorithm):
     _assert_same(build_automaton(GrammarFuzzer().generate(seed), algorithm))
+
+
+@pytest.mark.parametrize(
+    "name, algorithm", [case for case in _cases() if case.values[1] != "lr1"]
+)
+def test_corpus_signatures_match_the_reference(name, algorithm):
+    automaton = build_automaton(load(name), algorithm)
+    assert conflict_signatures(automaton) == reference_signatures(automaton)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("algorithm", ["lalr", "ielr"])
+def test_fuzz_signatures_match_the_reference(seed, algorithm):
+    automaton = build_automaton(GrammarFuzzer().generate(seed), algorithm)
+    assert conflict_signatures(automaton) == reference_signatures(automaton)
+
+
+def test_signatures_count_precedence_resolved_overlaps():
+    grammar = load_grammar("%left '+'\n%left '*'\ne : e '+' e | e '*' e | ID ;")
+    automaton = build_automaton(grammar, "lalr")
+    assert automaton.conflicts == []
+    assert len(conflict_signatures(automaton)) == 4
+    assert conflict_signatures(automaton) == reference_signatures(automaton)
 
 
 def test_precedence_bookkeeping_is_not_vacuous():

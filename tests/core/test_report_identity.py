@@ -10,22 +10,36 @@ cross-implementation invariants on a corpus slice:
 * serial vs parallel explanation renders identically;
 * a format-v2 round-tripped automaton drives the finder to the same
   reports as a freshly built one;
-* lookahead views render exactly like the frozensets they replace.
+* lookahead views render exactly like the frozensets they replace;
+* explanations served from the automaton cache (cold, warm, warm with
+  two workers, and the service worker) render like fresh ones.
 """
+
+import json
 
 import pytest
 
 from repro.automaton import build_lalr
 from repro.automaton.serialize import dump_automaton, load_automaton
 from repro.core import CounterexampleFinder
-from repro.core.report import safe_format_report
+from repro.core.report import safe_format_report, summary_to_json
 from repro.corpus import get
+from repro.grammar.emit import dump_grammar
+from repro.perf import metrics
+from repro.perf.cache import AutomatonCache, build_automaton_cached
 from repro.perf.parallel import explain_all_parallel
+from repro.service.worker import run_analysis
 
 # Small enough to keep the matrix fast, broad enough to cover every
 # counterexample shape: unifying, nonunifying, shift/reduce and
 # reduce/reduce, timeout fallbacks on the real-language rows.
 IDENTITY_GRAMMARS = ["figure1", "figure3", "figure7", "abcd", "SQL.1"]
+
+#: The bases of perfbench's ``service-open`` workload.
+SERVICE_BASES = [
+    "figure7", "simp2", "eqn", "stackexc01", "stackovf07",
+    "SQL.2", "SQL.3", "Pascal.3", "Pascal.5", "C.1",
+]
 
 
 def _reports(summary):
@@ -65,3 +79,37 @@ def test_lookahead_views_render_like_frozensets():
         assert ", ".join(t.name for t in sorted(view, key=str)) == ", ".join(
             t.name for t in sorted(reference, key=str)
         )
+
+
+def _rendered(summary):
+    return _reports(summary), json.dumps(summary_to_json(summary), indent=2)
+
+
+@pytest.mark.parametrize("name", IDENTITY_GRAMMARS + SERVICE_BASES[1:])
+def test_cold_warm_and_parallel_warm_reports_identical(name, tmp_path):
+    grammar = get(name).load()
+    fresh = _rendered(CounterexampleFinder(build_lalr(grammar)).explain_all())
+    runs = []
+    for jobs in (1, 1, 2):
+        cache = AutomatonCache(tmp_path)
+        automaton = build_automaton_cached(grammar, cache)
+        with metrics.collecting() as collector:
+            summary = explain_all_parallel(automaton, jobs=jobs, cache=cache)
+        runs.append(collector)
+        assert _rendered(summary) == fresh
+    cold, warm, _ = runs
+    stored = cold.counters.get("explain.cache.stored", 0)
+    assert stored > 0
+    assert warm.counters.get("explain.cache.hit", 0) == stored
+    assert warm.span_count("explain/search") == summary.num_conflicts - stored
+
+
+@pytest.mark.parametrize("name", SERVICE_BASES)
+def test_service_worker_reports_identical_cold_and_warm(name, tmp_path):
+    payload = {"grammar": dump_grammar(get(name).load()), "name": name, "options": {}}
+    uncached = run_analysis(payload)
+    cold = run_analysis({**payload, "cache_dir": str(tmp_path)})
+    warm = run_analysis({**payload, "cache_dir": str(tmp_path)})
+    for result in (uncached, cold, warm):
+        result.pop("phases")
+    assert cold == uncached and warm == uncached

@@ -198,6 +198,12 @@ class TestEntryReads:
                 {
                     "state": conflict.state_id,
                     "terminal": conflict.terminal.name,
+                    "items": [
+                        conflict.reduce_item.production.index,
+                        conflict.reduce_item.dot,
+                        conflict.other_item.production.index,
+                        conflict.other_item.dot,
+                    ],
                     "verdict": verdict.verdict.value,
                     "witness": [t.name for t in verdict.witness],
                     "detail": verdict.detail,
