@@ -59,7 +59,7 @@ from repro.automaton.lalr import LALRAutomaton, build_lalr
 from repro.automaton.lr0 import LR0Automaton, LR0State, closure, predecessor_map
 from repro.automaton.lr1 import LR1Automaton
 from repro.automaton.tables import reduce_lookaheads
-from repro.grammar import END_OF_INPUT, Grammar, Terminal, normalize_algorithm
+from repro.grammar import Grammar, Terminal, normalize_algorithm
 from repro.perf import metrics
 
 class IELRState(LR0State):
@@ -442,14 +442,13 @@ def conflict_signatures(automaton: LALRAutomaton) -> frozenset[ConflictSignature
     quotient from this module — by consulting the lookahead-mask
     function directly, so silently precedence-resolved conflicts still
     count. This is the set the differential oracle compares across
-    constructions.
+    constructions. A reduce on ``$`` beside ``START' -> S . $`` counts
+    against that accept action, as in
+    :func:`~repro.automaton.tables.find_conflicts`.
     """
-    table = automaton.terminal_table
-    iter_mask = table.iter_mask
-    not_end = ~table.bit_of(END_OF_INPUT)
+    iter_mask = automaton.terminal_table.iter_mask
     signatures: set[ConflictSignature] = set()
     for _state, reduce_items, masks, shift_mask in reduce_lookaheads(automaton):
-        shift_mask &= not_end
         for index, item in enumerate(reduce_items):
             for terminal in iter_mask(masks[index] & shift_mask):
                 signatures.add(("sr", terminal.name, _item_key(item)))
@@ -476,7 +475,7 @@ def canonical_conflict_signatures(lr1: LR1Automaton) -> frozenset[ConflictSignat
                 if item not in items:
                     items.append(item)
         for terminal, items in reducers.items():
-            shifted = terminal in state.transitions and terminal != END_OF_INPUT
+            shifted = terminal in state.transitions
             for index, item in enumerate(items):
                 if shifted:
                     signatures.add(("sr", terminal.name, _item_key(item)))

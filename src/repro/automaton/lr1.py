@@ -138,7 +138,11 @@ class LR1Automaton:
         return {key: frozenset(values) for key, values in merged.items()}
 
     def has_conflicts(self) -> bool:
-        """Whether any canonical LR(1) state has a shift/reduce or reduce/reduce conflict."""
+        """Whether any canonical LR(1) state has a shift/reduce or reduce/reduce conflict.
+
+        A reduce on ``$`` beside ``START' -> S . $`` conflicts with the
+        accept action, as in :func:`repro.automaton.tables.find_conflicts`.
+        """
         for state in self.states:
             reducers: dict[Terminal, set[Item]] = {}
             for item, lookahead in state.items:
@@ -147,7 +151,7 @@ class LR1Automaton:
             for terminal, items in reducers.items():
                 if len(items) > 1:
                     return True
-                if terminal in state.transitions and terminal != END_OF_INPUT:
+                if terminal in state.transitions:
                     return True
         return False
 

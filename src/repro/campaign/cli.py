@@ -40,6 +40,15 @@ from repro.campaign.units import (
     plan_units,
     select_shard,
 )
+from repro.cli import _non_negative_int
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -141,6 +150,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.perf.parallel import resolve_jobs
+
     spec = _spec_from_args(args)
 
     def progress(shard_name: str, unit_id: str, result) -> None:
@@ -153,7 +164,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scheduler = CampaignScheduler(
         spec,
         args.out,
-        jobs=args.jobs,
+        jobs=resolve_jobs(args.jobs),
         cache_dir=args.cache_dir,
         retries=args.retries,
         fsync=args.fsync,
@@ -297,13 +308,13 @@ def campaign_main(argv: list[str] | None = None) -> int:
     shape = run_p.add_mutually_exclusive_group()
     shape.add_argument("--shard", default=None, metavar="k/M",
                        help="run only shard k of M (CI matrix mode)")
-    shape.add_argument("--shards", type=int, default=1,
+    shape.add_argument("--shards", type=_positive_int, default=1,
                        help="run all M shards locally with work stealing")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = in-process)")
+    run_p.add_argument("--jobs", type=_non_negative_int, default=1,
+                       help="worker processes (1 = in-process, 0 = CPU count)")
     run_p.add_argument("--cache-dir", default=None,
                        help="shared automaton-cache directory")
-    run_p.add_argument("--retries", type=int, default=0,
+    run_p.add_argument("--retries", type=_non_negative_int, default=0,
                        help="re-run a unit this many times after an error")
     run_p.add_argument("--fsync", action="store_true",
                        help="fsync every ledger append")

@@ -217,19 +217,4 @@ def execute_unit(
     )
 
 
-def execute_unit_json(
-    spec_json: dict[str, Any],
-    unit_json: dict[str, str],
-    cache_dir: str | None,
-    attempt: int = 1,
-) -> dict[str, Any]:
-    """Process-pool entry point: everything crosses as plain JSON."""
-    from repro.perf.cache import AutomatonCache
-
-    spec = CampaignSpec.from_json(spec_json)
-    unit = WorkUnit.from_json(unit_json)
-    cache = AutomatonCache(cache_dir) if cache_dir else None
-    return execute_unit(unit, spec, cache, attempt=attempt).to_json()
-
-
-__all__ = ["UnitResult", "execute_unit", "execute_unit_json"]
+__all__ = ["UnitResult", "execute_unit"]

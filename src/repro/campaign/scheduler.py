@@ -36,13 +36,12 @@ import json
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.campaign.runner import UnitResult, execute_unit, execute_unit_json
+from repro.campaign.runner import UnitResult, execute_unit
 from repro.campaign.units import (
     SCHEMA,
     CampaignSpec,
@@ -212,92 +211,53 @@ class CampaignScheduler:
     # Execution
 
     def _run(self, runs: list[_ShardRun]) -> list[Path]:
+        from repro.perf.cache import AutomatonCache
+
         started = time.monotonic()
+        cache = AutomatonCache(self.cache_dir) if self.cache_dir else None
+        # Worker slot -> what it runs; the pool's workers are forked
+        # after this is built, so they inherit the spec and the cache.
+        held: dict[int, tuple[_ShardRun, WorkUnit, bool]] = {}
+
+        def feed(slot: int) -> tuple[WorkUnit, int] | None:
+            picked = self._pick(runs, slot)
+            if picked is None:
+                return None
+            held[slot] = picked
+            run, unit, _ = picked
+            return unit, run.begin(unit)
+
+        def execute(task: tuple[WorkUnit, int]) -> UnitResult:
+            unit, attempt = task
+            return execute_unit(unit, self.spec, cache, attempt=attempt)
+
         if self.jobs == 1:
-            self._run_sequential(runs)
+            slot = 0
+            while (task := feed(slot)) is not None:
+                run, unit, stolen = held.pop(slot)
+                self._record(run, unit, execute(task), stolen)
+                slot += 1
         else:
-            self._run_pool(runs)
+            from repro.robust.executor import run_pool
+
+            with closing(run_pool(execute, self.jobs, feed)) as pool:
+                for slot, (_, attempt), outcome in pool:
+                    run, unit, stolen = held.pop(slot)
+                    # A unit that kills its worker (os._exit, a segfault, an
+                    # OOM kill) ends as an error; a fresh worker takes its slot.
+                    result = outcome.result if outcome.ok else UnitResult(
+                        unit.id,
+                        "error",
+                        {"error_type": "WorkerDied", "error": "worker process died"},
+                        attempt=attempt,
+                    )
+                    self._record(run, unit, result, stolen)
         elapsed = time.monotonic() - started
         paths = []
         for run in runs:
             run.elapsed_s = elapsed
             paths.append(self._write_shard_document(run))
         return paths
-
-    def _run_sequential(self, runs: list[_ShardRun]) -> None:
-        from repro.perf.cache import AutomatonCache
-
-        cache = AutomatonCache(self.cache_dir) if self.cache_dir else None
-        slot = 0
-        while True:
-            picked = self._pick(runs, slot)
-            if picked is None:
-                break
-            run, unit, stolen = picked
-            attempt = run.begin(unit)
-            result = execute_unit(unit, self.spec, cache, attempt=attempt)
-            self._record(run, unit, result, stolen)
-            slot += 1
-
-    def _run_pool(self, runs: list[_ShardRun]) -> None:
-        # A worker that dies (os._exit, a segfault, an OOM kill) breaks
-        # the pool and every future in it. Each unit then in flight
-        # re-runs alone, so only the one that kills its own worker ends
-        # as an error; the shard goes on in a fresh pool.
-        while suspects := self._run_pool_until_broken(runs):
-            for run, unit, stolen in suspects:
-                with ProcessPoolExecutor(max_workers=1) as pool:
-                    attempt = run.begin(unit)
-                    future = self._submit(pool, unit, attempt)
-                    try:
-                        result = UnitResult.from_json(future.result())
-                    except BrokenProcessPool:
-                        result = UnitResult(
-                            unit.id,
-                            "error",
-                            {"error_type": "WorkerDied", "error": "worker process died"},
-                            attempt=attempt,
-                        )
-                self._record(run, unit, result, stolen)
-
-    def _run_pool_until_broken(
-        self, runs: list[_ShardRun]
-    ) -> list[tuple[_ShardRun, WorkUnit, bool]]:
-        """Run pending units; returns those in flight if the pool broke."""
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            free: deque[int] = deque(range(self.jobs))
-            in_flight: dict[Any, tuple[_ShardRun, WorkUnit, int, bool]] = {}
-            while True:
-                while free:
-                    slot = free[0]
-                    picked = self._pick(runs, slot)
-                    if picked is None:
-                        break
-                    free.popleft()
-                    run, unit, stolen = picked
-                    future = self._submit(pool, unit, run.begin(unit))
-                    in_flight[future] = (run, unit, slot, stolen)
-                if not in_flight:
-                    return []
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    run, unit, slot, stolen = in_flight[future]
-                    try:
-                        result = UnitResult.from_json(future.result())
-                    except BrokenProcessPool:
-                        return [(r, u, s) for r, u, _, s in in_flight.values()]
-                    del in_flight[future]
-                    self._record(run, unit, result, stolen)
-                    free.append(slot)
-
-    def _submit(self, pool: ProcessPoolExecutor, unit: WorkUnit, attempt: int):
-        return pool.submit(
-            execute_unit_json,
-            self.spec.to_json(),
-            unit.to_json(),
-            self.cache_dir,
-            attempt,
-        )
 
     def _pick(
         self, runs: list[_ShardRun], slot: int

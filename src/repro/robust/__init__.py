@@ -17,7 +17,11 @@ cancellable, and fault-isolated:
   (append-only JSONL, torn-write tolerant, atomically rotated) behind
   the service journal and the campaign shard checkpoints;
 * :mod:`repro.robust.retry` — the :class:`RetryPolicy` backoff schedule
-  the service supervisor re-spawns crashed workers with.
+  the service supervisor re-spawns crashed workers with;
+* :mod:`repro.robust.executor` — the forked-worker executor under
+  ``--jobs``, campaign ``--jobs`` and the service supervisor (not
+  re-exported here, so importing this package does not import
+  :mod:`multiprocessing`).
 
 See ``docs/ROBUSTNESS.md`` for the full model.
 """

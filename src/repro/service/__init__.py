@@ -28,12 +28,8 @@ from repro.service.protocol import (
     ProtocolError,
     degraded_result,
 )
-from repro.service.supervisor import (
-    AttemptOutcome,
-    SupervisorConfig,
-    WorkerSupervisor,
-)
-from repro.service.worker import CRASH_EXIT_CODE, run_analysis, worker_entry
+from repro.service.supervisor import SupervisorConfig, WorkerSupervisor
+from repro.service.worker import CRASH_EXIT_CODE, prepare_attempt, run_analysis
 
 __all__ = [
     "Admitted",
@@ -42,7 +38,6 @@ __all__ = [
     "AnalysisService",
     "AnalyzeOptions",
     "AnalyzeRequest",
-    "AttemptOutcome",
     "BreakerBoard",
     "BreakerState",
     "CRASH_EXIT_CODE",
@@ -58,8 +53,8 @@ __all__ = [
     "SupervisorConfig",
     "WorkerSupervisor",
     "degraded_result",
+    "prepare_attempt",
     "resumable",
     "serve_main",
-    "worker_entry",
     "run_analysis",
 ]

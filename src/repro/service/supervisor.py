@@ -1,19 +1,12 @@
 """The worker-pool supervisor: subprocess isolation, retries, breakers.
 
-Each job attempt runs in a **fresh subprocess** — the only isolation
-that survives a segfault, an OOM kill, or a poisoned interpreter. The
-supervisor watches the attempt from the parent event loop:
-
-* **result** on the pipe → success;
-* process **exit without a result** → crash;
-* **heartbeats stop** while the process lives → hang (the worker beats
-  on a side thread, so a wedged analysis is detected, not awaited);
-* the attempt outlives its **hard deadline** (request budget + slack) →
-  timeout.
-
-The watch wakes on the event loop when the result pipe turns readable
-or the process exits; the hang and hard-cap deadlines are its only
-timers, so a finished attempt is seen as soon as its result lands.
+Each job attempt runs in a **fresh** :class:`~repro.robust.executor.Worker`
+— a forked child, the only isolation that survives a segfault, an OOM
+kill, or a poisoned interpreter — whose outcome is a result, a crash, a
+hang (the worker beats on a side thread, so a wedged analysis is
+detected, not awaited) or a timeout (request budget + slack). The watch
+wakes on the event loop when the worker's pipe turns readable or the
+process exits; the hang and hard-cap deadlines are its only timers.
 
 Crash/hang/timeout are transient: the supervisor retries under a
 :class:`~repro.robust.retry.RetryPolicy` (exponential backoff + seeded
@@ -27,24 +20,15 @@ errors) terminate immediately as *failed* and never burn retries.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
+from repro.robust.executor import Outcome, Worker
 from repro.robust.retry import RetryPolicy
 from repro.service.breaker import BreakerBoard
 from repro.service.protocol import JobRecord, degraded_result
-
-
-def _default_context() -> multiprocessing.context.BaseContext:
-    # fork is dramatically cheaper than spawn (the parent already has
-    # repro imported) and the worker only computes and writes to a pipe.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX fallback
-        return multiprocessing.get_context("spawn")
 
 
 @dataclass(frozen=True)
@@ -64,19 +48,6 @@ class SupervisorConfig:
     )
 
 
-@dataclass
-class AttemptOutcome:
-    """What one subprocess attempt produced."""
-
-    result: dict[str, Any] | None = None
-    failure: str | None = None  # "crash" | "hang" | "timeout"
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
-
-
 class WorkerSupervisor:
     """Runs job attempts in subprocesses and supervises them."""
 
@@ -84,16 +55,12 @@ class WorkerSupervisor:
         self,
         config: SupervisorConfig | None = None,
         breakers: BreakerBoard | None = None,
-        counters: dict[str, int] | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config or SupervisorConfig()
         self.breakers = breakers if breakers is not None else BreakerBoard()
-        self.counters = counters if counters is not None else {}
-        self._clock = clock
-        self._ctx = _default_context()
+        self.counters: dict[str, int] = {}
         self._rng = random.Random(0xC0FFEE)
-        self._live: set[multiprocessing.process.BaseProcess] = set()
+        self._live: set[Worker] = set()
 
     # ------------------------------------------------------------------ #
 
@@ -130,7 +97,6 @@ class WorkerSupervisor:
                 )
             attempt_payload = dict(payload)
             attempt_payload["fault_arrivals"] = {"worker": attempts}
-            attempt_payload["heartbeat_interval"] = self.config.heartbeat_interval
             outcome = await self._run_attempt(attempt_payload)
             attempts += 1
             if outcome.ok:
@@ -171,105 +137,59 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------ #
 
-    async def _run_attempt(self, payload: Mapping[str, Any]) -> AttemptOutcome:
-        """One subprocess attempt, watched to completion or death."""
-        from repro.service.worker import worker_entry
+    async def _run_attempt(self, payload: Mapping[str, Any]) -> Outcome:
+        """One attempt in a fresh worker, watched to completion or death."""
+        from repro.service.worker import prepare_attempt, run_analysis
 
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=worker_entry, args=(child_conn, dict(payload)), daemon=True
+        worker = Worker(
+            run_analysis,
+            setup=prepare_attempt,
+            heartbeat=self.config.heartbeat_interval,
+            hang_timeout=self.config.hang_timeout,
         )
-        process.start()
-        self._live.add(process)
-        child_conn.close()
+        self._live.add(worker)
         options = payload.get("options", {})
         hard_cap = (
             float(options.get("cumulative_limit", 30.0))
             + float(options.get("chaos_sleep_s", 0.0) or 0.0)
             + self.config.hard_timeout_grace
         )
-        started = self._clock()
-        last_beat = started
-        result: dict[str, Any] | None = None
         # Wake when the pipe has data or EOF, or the process exits; the
         # only timer is the nearer of the hang and hard-cap deadlines.
-        # Readers are level-triggered, so data arriving between a drain
+        # Readers are level-triggered, so data arriving between a check
         # and the next wait still sets the event.
         loop = asyncio.get_running_loop()
         wake = asyncio.Event()
-        watched = (parent_conn.fileno(), process.sentinel)
+        watched = worker.fds
         for fd in watched:
             loop.add_reader(fd, wake.set)
         try:
+            worker.submit(payload, hard_cap)
             while True:
-                drained_eof = False
                 wake.clear()
+                outcome = worker.check()
+                if outcome is not None:
+                    return outcome
+                timeout = max(worker.deadline() - time.monotonic(), 0.0)
                 try:
-                    while parent_conn.poll(0):
-                        kind, value = parent_conn.recv()
-                        if kind == "hb":
-                            last_beat = self._clock()
-                        elif kind == "result":
-                            result = value
-                except (EOFError, OSError):
-                    drained_eof = True
-                if result is not None:
-                    return AttemptOutcome(result=result)
-                now = self._clock()
-                if drained_eof or not process.is_alive():
-                    # Dead (or pipe closed) without a result: a crash.
-                    process.join(timeout=1.0)
-                    return AttemptOutcome(
-                        failure="crash",
-                        detail=f"exitcode={process.exitcode}",
-                    )
-                if now - last_beat > self.config.hang_timeout:
-                    self._kill(process)
-                    return AttemptOutcome(
-                        failure="hang",
-                        detail=f"no heartbeat for {now - last_beat:.2f}s",
-                    )
-                if now - started > hard_cap:
-                    self._kill(process)
-                    return AttemptOutcome(
-                        failure="timeout",
-                        detail=f"exceeded hard cap of {hard_cap:.1f}s",
-                    )
-                deadline = min(last_beat + self.config.hang_timeout, started + hard_cap)
-                try:
-                    await asyncio.wait_for(wake.wait(), max(deadline - now, 0.0))
+                    await asyncio.wait_for(wake.wait(), timeout)
                 except asyncio.TimeoutError:
                     pass
         finally:
             for fd in watched:
                 loop.remove_reader(fd)
-            parent_conn.close()
-            if process.is_alive():
-                # Usually a worker still exiting after its result landed:
-                # signal it without waiting, so the loop never blocks on
-                # its teardown. The next Process.start() reaps it.
-                try:
-                    process.kill()
-                except (OSError, ValueError):
-                    pass
-            self._live.discard(process)
-
-    def _kill(self, process: multiprocessing.process.BaseProcess) -> None:
-        try:
-            process.kill()
-            process.join(timeout=1.0)
-        except (OSError, ValueError):
-            pass
+            # Usually a worker idle after its result landed: kill it
+            # without waiting, so the loop never blocks on its teardown.
+            worker.stop(reap=False)
+            self._live.discard(worker)
 
     def kill_all(self) -> int:
         """Hard-stop every live worker (shutdown past the drain deadline)."""
-        killed = 0
-        for process in list(self._live):
-            if process.is_alive():
-                self._kill(process)
-                killed += 1
-            self._live.discard(process)
+        killed = sum(worker.process.is_alive() for worker in self._live)
+        for worker in self._live:
+            worker.stop()
+        self._live.clear()
         return killed
 
 
-__all__ = ["AttemptOutcome", "SupervisorConfig", "WorkerSupervisor"]
+__all__ = ["SupervisorConfig", "WorkerSupervisor"]

@@ -1,12 +1,11 @@
 """The analysis worker: one request, one subprocess, one JSON result.
 
 :func:`run_analysis` is the pure core — request payload in, JSON-ready
-result out — shared by unit tests (in-process) and the subprocess entry
-:func:`worker_entry`. The subprocess half adds the supervision contract:
+result out — shared by unit tests (in-process) and the supervisor's
+:class:`~repro.robust.executor.Worker`, which sends heartbeats while it
+runs. :func:`prepare_attempt` runs in that worker first, before any
+heartbeat:
 
-* a **heartbeat thread** sends a beat over the result pipe at a fixed
-  interval (first beat immediately), so the supervisor can tell a
-  long-running analysis from a wedged worker;
 * **fault arming**: the payload carries serialized
   :class:`~repro.robust.faults.FaultSpec` entries plus per-point arrival
   offsets (the supervisor passes the job's attempt count), so a
@@ -25,7 +24,7 @@ internal error is transient (a retry on a healthy worker may succeed).
 
 from __future__ import annotations
 
-import threading
+import os
 import time
 import traceback
 from typing import Any, Mapping
@@ -150,13 +149,13 @@ def _phases(collector: metrics.MetricsCollector) -> dict[str, Any]:
 # Subprocess entry
 
 
-def _arm_faults(payload: Mapping[str, Any]) -> None:
-    """Install the supervisor-forwarded fault plan in this process.
+def prepare_attempt(payload: Mapping[str, Any]) -> None:
+    """Arm the attempt's fault plan, then pass the ``worker`` injection point.
 
-    The registry is reset first: under a fork start-method the child
-    inherits the parent's registry (installed specs *and* arrival
-    counts), and the payload's plan — specs plus attempt-seeded arrival
-    offsets — must be the only thing armed here.
+    The registry is reset first: a forked worker inherits the parent's
+    registry (installed specs *and* arrival counts), and the payload's
+    plan — specs plus attempt-seeded arrival offsets — must be the only
+    thing armed here.
     """
     registry().reset()
     specs = payload.get("faults") or []
@@ -167,54 +166,15 @@ def _arm_faults(payload: Mapping[str, Any]) -> None:
         registry().seed_arrivals(
             {str(point): int(offset) for point, offset in offsets.items()}
         )
-
-
-def _heartbeat_loop(send, interval: float, stop: threading.Event) -> None:
-    while True:
-        try:
-            send(("hb", time.monotonic()))
-        except (OSError, ValueError, BrokenPipeError):
-            return
-        if stop.wait(interval):
-            return
-
-
-def worker_entry(conn, payload: Mapping[str, Any]) -> None:
-    """``multiprocessing`` target: heartbeat, analyse, send, exit."""
-    import os
-
-    _arm_faults(payload)
-    send_lock = threading.Lock()
-
-    def send(message: tuple[str, Any]) -> None:
-        with send_lock:
-            conn.send(message)
-
     try:
         fire("worker", context=str(payload.get("name", "")))
     except InjectedCrash:
         os._exit(CRASH_EXIT_CODE)
     except InjectedHang:
-        # A wedged worker: alive, silent. No heartbeat thread was
-        # started, so the supervisor's hang detector must reap us.
+        # A wedged worker: alive, silent. No heartbeat has been sent, so
+        # the supervisor's hang detector must reap us.
         time.sleep(3600.0)
         os._exit(CRASH_EXIT_CODE)
 
-    stop = threading.Event()
-    interval = float(payload.get("heartbeat_interval", 0.1))
-    beater = threading.Thread(
-        target=_heartbeat_loop, args=(send, interval, stop), daemon=True
-    )
-    beater.start()
-    try:
-        result = run_analysis(payload)
-    finally:
-        stop.set()
-    try:
-        send(("result", result))
-        conn.close()
-    except (OSError, ValueError, BrokenPipeError):
-        pass
 
-
-__all__ = ["CRASH_EXIT_CODE", "run_analysis", "worker_entry"]
+__all__ = ["CRASH_EXIT_CODE", "prepare_attempt", "run_analysis"]

@@ -209,7 +209,7 @@ class DifferentialOracle:
             for terminal, count in reducers.items():
                 if count > 1:
                     return True
-                if terminal in state.transitions and terminal != END_OF_INPUT:
+                if terminal in state.transitions:
                     return True
         return False
 

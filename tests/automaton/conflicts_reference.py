@@ -14,7 +14,7 @@ the raw (pre-precedence) signatures that
 
 from repro.automaton.conflicts import Conflict, ConflictKind
 from repro.automaton.tables import _find_shift_items, _resolve_shift_reduce
-from repro.grammar import END_OF_INPUT, Terminal
+from repro.grammar import Terminal
 
 
 def _reducers(automaton, state):
@@ -57,15 +57,15 @@ def reference_precedence(automaton):
 def reference_signatures(automaton):
     """Raw conflict signatures, per terminal, before precedence.
 
-    The ``$`` shift out of ``START' -> S . $`` is the accept action, so
-    ``$`` never makes a shift/reduce signature (as in the canonical
-    LR(1) signatures the differential oracle compares with).
+    A reduce on ``$`` in the state of ``START' -> S . $`` counts as a
+    shift/reduce signature against that accept action, as
+    :func:`reference_conflicts` counts the conflict.
     """
     signatures = set()
     for state in automaton.states:
         for terminal, items in _reducers(automaton, state).items():
             keys = [(item.production.index, item.dot) for item in items]
-            if terminal in state.transitions and terminal != END_OF_INPUT:
+            if terminal in state.transitions:
                 signatures.update(("sr", terminal.name, key) for key in keys)
             for index, first in enumerate(keys):
                 for second in keys[index + 1 :]:

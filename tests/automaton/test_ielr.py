@@ -13,11 +13,14 @@ from repro.automaton import (
     classify_conflicts,
     conflict_signatures,
 )
+from repro.automaton.conflicts import ConflictKind
+from repro.automaton.ielr import signature_of
 from repro.automaton.lr0 import LR0Automaton
 from repro.core import CounterexampleFinder
 from repro.corpus import load as load_corpus
-from repro.grammar import load_grammar
+from repro.grammar import END_OF_INPUT, load_grammar
 from repro.lint import LintContext
+from repro.verify.fuzz import GrammarFuzzer
 
 
 @pytest.fixture
@@ -136,6 +139,42 @@ class TestSignatures:
         lalr = build_lalr(nonlalr01)
         lr1 = LR1Automaton(nonlalr01)
         assert conflict_signatures(lalr) > canonical_conflict_signatures(lr1)
+
+    def test_end_of_input_conflicts_counted_by_every_producer(self):
+        """A reduce on ``$`` beside ``START' -> S . $`` conflicts with accept.
+
+        ``find_conflicts`` reports it, so both signature functions and
+        ``has_conflicts`` count the ``$`` shift too: IELR keeps such a
+        conflict, provenance calls it genuine, not a merge artifact, and
+        the grammar is not LR(1).
+        """
+        fuzzer = GrammarFuzzer()
+        end_conflicts = seeds = 0
+        for seed in range(200):
+            grammar = fuzzer.generate(seed)
+            lalr = build_lalr(grammar)
+            if not lalr.conflicts:
+                continue
+            lr1 = LR1Automaton(grammar)
+            ielr = build_ielr(grammar, lr1=lr1)
+            assert conflict_signatures(ielr) == canonical_conflict_signatures(lr1)
+            raw = conflict_signatures(lalr)
+            assert {signature_of(c) for c in lalr.conflicts} <= raw, seed
+            provenance = classify_conflicts(lalr, ielr, max_lr1_states=2_000)
+            found = [
+                conflict
+                for conflict in lalr.conflicts
+                if conflict.terminal == END_OF_INPUT
+                and conflict.kind is ConflictKind.SHIFT_REDUCE
+            ]
+            assert lr1.has_conflicts() or not found, seed
+            for conflict in found:
+                assert signature_of(conflict) in conflict_signatures(ielr), seed
+                verdict = provenance[conflict].verdict
+                assert verdict is ProvenanceVerdict.GENUINE, seed
+            end_conflicts += len(found)
+            seeds += bool(found)
+        assert (end_conflicts, seeds) == (35, 28)
 
 
 class TestProvenance:

@@ -9,7 +9,6 @@ checks the resume contract end to end.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -19,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.campaign.runner as runner_module
 import repro.campaign.scheduler as scheduler_module
 from repro.campaign.report import merge_shard_documents, render_report
 from repro.campaign.runner import UnitResult
@@ -134,10 +132,6 @@ class TestProcessPool:
         pool_report, _ = merge_shard_documents([json.loads(pool.read_text())])
         assert render_report(seq_report) == render_report(pool_report)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched unit reaches the workers only through fork",
-    )
     def test_unit_that_kills_its_worker_ends_as_an_error(
         self, tmp_path, monkeypatch
     ):
@@ -146,7 +140,7 @@ class TestProcessPool:
                 os._exit(3)
             return _stub_execute(unit, spec, cache, attempt)
 
-        monkeypatch.setattr(runner_module, "execute_unit", crashing_execute)
+        monkeypatch.setattr(scheduler_module, "execute_unit", crashing_execute)
         spec = CampaignSpec(fuzz_iterations=4)
         path = CampaignScheduler(spec, tmp_path, jobs=2, retries=1).run_shard((1, 1))
         document = json.loads(path.read_text())
@@ -160,6 +154,16 @@ class TestProcessPool:
         payload = document["units"]["fuzz:00000001"]["payload"]
         assert payload["error_type"] == "WorkerDied"
         assert document["telemetry"]["retried"] == 1
+        # One running snapshot per (unit, attempt): the dying unit is not
+        # re-run within an attempt to find out which unit killed a worker.
+        ledger = (tmp_path / "shard-1-of-1.ledger.jsonl").read_text().splitlines()
+        running = [
+            (snapshot["unit"], snapshot["attempt"])
+            for snapshot in map(json.loads, ledger)
+            if snapshot["state"] == "running"
+        ]
+        assert sorted(running) == sorted(set(running))
+        assert [a for unit, a in running if unit == "fuzz:00000001"] == [1, 2]
         # A resume finds every unit done instead of dying on the same one.
         resumed = CampaignScheduler(spec, tmp_path, jobs=2, retries=1).run_shard((1, 1))
         assert json.loads(resumed.read_text())["telemetry"]["executed"] == 0

@@ -95,6 +95,51 @@ class TestParallelEquality:
         assert parallel.num_stub == parallel.num_conflicts
         assert summary_to_json(parallel) == summary_to_json(serial)
 
+    def test_cancel_mid_search_kills_the_workers(self):
+        import multiprocessing
+        import threading
+        import time
+
+        from repro.automaton.lalr import build_lalr
+        from repro.core.report import summary_to_json
+        from repro.corpus import registry
+        from repro.robust.budget import CancellationToken
+
+        # Each java-ext1 search runs to its 5 s limit, so the token
+        # fires while both workers are searching.
+        automaton = build_lalr(registry.load("java-ext1"))
+        token = CancellationToken()
+        timer = threading.Timer(1.0, token.cancel, args=("received SIGTERM",))
+        started = time.monotonic()
+        timer.start()
+        parallel = explain_all_parallel(automaton, jobs=2, token=token, time_limit=5.0)
+        elapsed = time.monotonic() - started
+        assert 1.0 <= elapsed < 3.0
+        assert multiprocessing.active_children() == []
+
+        cancelled = CancellationToken()
+        cancelled.cancel("received SIGTERM")
+        serial = CounterexampleFinder(
+            automaton, token=cancelled, time_limit=5.0
+        ).explain_all()
+        assert parallel.num_stub == parallel.num_conflicts == 3
+        assert summary_to_json(parallel) == summary_to_json(serial)
+
+    def test_dead_worker_raises_and_stops_the_pool(self, figure1, monkeypatch):
+        import multiprocessing
+        import os
+
+        def die(self, conflict):
+            os._exit(3)
+
+        # The workers fork after the patch, so each dies on its first task.
+        monkeypatch.setattr(CounterexampleFinder, "explain", die)
+        with pytest.raises(RuntimeError, match="crash: exitcode=3") as raised:
+            explain_all_parallel(figure1, jobs=2)
+        # The traceback still holds the pool's frame; its workers are gone.
+        assert raised.traceback
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("name", ["figure1", "stackovf10"])
     def test_retry_round_matches_serial(self, name):
         from repro.corpus import registry

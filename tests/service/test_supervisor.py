@@ -79,6 +79,39 @@ class TestEventDrivenWatch:
         # Seen on EOF, long before the hang deadline.
         assert elapsed < 10.0
 
+    def test_crash_beside_a_running_attempt_leaves_the_loop_idle(self):
+        # The second worker is forked while the first attempt runs, so it
+        # inherits the parent's end of the first worker's pipe. Were that
+        # end closed before the loop stopped watching it, epoll would keep
+        # reporting it at EOF and the loop would spin until the second
+        # attempt ends.
+        crash = FaultSpec(point="worker", kind=FaultKind.CRASH, count=1)
+        hang = FaultSpec(point="worker", kind=FaultKind.HANG, count=1)
+        supervisor = WorkerSupervisor(SupervisorConfig(hang_timeout=1.0))
+        wakes = 0
+
+        async def scenario():
+            nonlocal wakes
+            selector = asyncio.get_running_loop()._selector  # type: ignore[attr-defined]
+            select = selector.select
+
+            def counted(timeout=None):
+                nonlocal wakes
+                wakes += 1
+                return select(timeout)
+
+            with mock.patch.object(selector, "select", counted):
+                return await asyncio.gather(
+                    supervisor._run_attempt(_payload(faults=[crash.to_json()])),
+                    supervisor._run_attempt(_payload(faults=[hang.to_json()])),
+                )
+
+        crashed, hung = asyncio.run(scenario())
+        assert (crashed.failure, hung.failure) == ("crash", "hang")
+        # A handful of wakes (fork, EOF, exit, the hang deadline), not a
+        # second of spinning.
+        assert wakes < 100, wakes
+
 
 def test_config_has_no_poll_interval():
     with pytest.raises(TypeError):
