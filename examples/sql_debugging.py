@@ -13,7 +13,7 @@ Run with::
 from repro.automaton import build_lalr
 from repro.core import CounterexampleFinder, format_report, format_symbols
 from repro.corpus.inject import add_rules
-from repro.corpus.sql import sql_base_text
+from repro.corpus.sql import SQL_BASE
 from repro.grammar import load_grammar
 
 
@@ -31,7 +31,7 @@ def analyse(title: str, text: str) -> None:
 
 
 def main() -> None:
-    base = sql_base_text()
+    base = SQL_BASE
     analyse("base SQL grammar", base)
 
     # Defect 1: "JOIN should nest on both sides, right?"

@@ -6,12 +6,14 @@ Boots the real server as a subprocess (the same entry CI users run:
 actual HTTP:
 
 1. a healthy grammar completes, and a repeat submission proves the warm
-   automaton cache (no ``automaton`` build phase the second time);
+   automaton cache (no ``automaton`` build phase the second time) and
+   runs on the worker kept from the first job;
 2. a poison grammar — crash-injected via ``REPRO_FAULTS`` with a
    ``match`` filter — exhausts its retries, trips its circuit breaker,
    and is breaker-rejected on resubmission, while healthy traffic keeps
    flowing;
-3. SIGTERM drains the server: it exits 0 with no tracebacks;
+3. SIGTERM drains the server: it exits 0 with no tracebacks and leaves
+   no worker process running;
 4. ``kill -9`` mid-job, then a restart on the same journal, resumes the
    interrupted job to completion with no duplicate side effects.
 
@@ -76,6 +78,31 @@ def check(condition: bool, message: str) -> None:
     if not condition:
         fail(message)
     print(f"  ok: {message}")
+
+
+def _state(pid: int) -> tuple[int, str] | None:
+    """A process's parent pid and state letter (from Linux ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            fields = stat.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return int(fields[1]), fields[0]
+
+
+def _running(pid: int) -> bool:
+    state = _state(pid)
+    return state is not None and state[1] != "Z"
+
+
+def _workers(server_pid: int) -> list[int]:
+    """The server's running child processes: its forked workers."""
+    found = []
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        state = _state(int(entry)) if entry.isdigit() else None
+        if state is not None and state[0] == server_pid and state[1] != "Z":
+            found.append(int(entry))
+    return found
 
 
 class Server:
@@ -159,6 +186,7 @@ class Server:
 def phase_healthy_and_cache(workdir: str) -> None:
     print("phase 1: healthy grammar + warm cache")
     server = Server(workdir)
+    workers: list[int] = []
     try:
         status, first = server.analyze(HEALTHY, "healthy")
         check(status == 200, f"healthy analysis returns 200 (got {status})")
@@ -181,11 +209,24 @@ def phase_healthy_and_cache(workdir: str) -> None:
         check(status == 200, "/healthz answers")
         for key in ("queue_depth", "breakers", "retries", "admission"):
             check(key in health, f"/healthz reports {key}")
+        check(
+            health["retries"].get("workers.reused", 0) >= 1,
+            "repeat submission ran on a kept worker",
+        )
+        workers = _workers(server.process.pid)
+        check(
+            bool(workers) or not os.path.isdir("/proc"),
+            f"the kept worker waits idle ({len(workers)} worker(s) running)",
+        )
     finally:
         code, out, err = server.stop()
         check(code == 0, f"clean SIGTERM exit (got {code})")
         check("Traceback" not in err, "no tracebacks on stderr")
         check("shutdown complete" in out, "drain reported on stdout")
+        check(
+            not any(_running(pid) for pid in workers),
+            "no worker outlives the server after SIGTERM",
+        )
 
 
 def phase_poison_breaker(workdir: str) -> None:

@@ -340,11 +340,6 @@ function_definition : declaration_specifiers declarator declaration_list compoun
 """
 
 
-def c_base_text() -> str:
-    """The conflict-free base ANSI C grammar text."""
-    return C_BASE
-
-
 def c_base() -> Grammar:
     return load_grammar(C_BASE, name="c-base")
 

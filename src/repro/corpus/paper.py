@@ -1,4 +1,4 @@
-"""The paper's own grammars, verbatim (Figures 1, 3, 7; §2.4 example)."""
+"""The paper's own grammars, verbatim (Figures 1, 3 and 7)."""
 
 from __future__ import annotations
 
@@ -35,23 +35,6 @@ A : 'a' ;
 B : 'a' 'b' 'c' | 'a' 'b' 'd' ;
 """
 
-#: §2.4's running example: the ambiguous + conflict, resolvable by %left.
-PRECEDENCE_CONFLICTED = """
-%grammar precedence-conflicted
-%start expr
-expr : expr '+' expr | num ;
-num : DIGIT | num DIGIT ;
-"""
-
-PRECEDENCE_RESOLVED = """
-%grammar precedence-resolved
-%left '+'
-%start expr
-expr : expr '+' expr | num ;
-num : DIGIT | num DIGIT ;
-"""
-
-
 def figure1() -> Grammar:
     return load_grammar(FIGURE1)
 
@@ -62,14 +45,6 @@ def figure3() -> Grammar:
 
 def figure7() -> Grammar:
     return load_grammar(FIGURE7)
-
-
-def precedence_conflicted() -> Grammar:
-    return load_grammar(PRECEDENCE_CONFLICTED)
-
-
-def precedence_resolved() -> Grammar:
-    return load_grammar(PRECEDENCE_RESOLVED)
 
 
 register(

@@ -159,11 +159,6 @@ set_elem : expr | expr DOTDOT expr ;
 """
 
 
-def pascal_base_text() -> str:
-    """The conflict-free base Pascal grammar text."""
-    return PASCAL_BASE
-
-
 def pascal_base() -> Grammar:
     return load_grammar(PASCAL_BASE, name="pascal-base")
 

@@ -125,11 +125,6 @@ drop_stmt : DROP TABLE ID ;
 """
 
 
-def sql_base_text() -> str:
-    """The conflict-free base SQL grammar text."""
-    return SQL_BASE
-
-
 def sql_base() -> Grammar:
     return load_grammar(SQL_BASE, name="sql-base")
 

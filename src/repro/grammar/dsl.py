@@ -106,15 +106,6 @@ class _Parser:
         self._index += 1
         return token
 
-    def _expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self._next()
-        if token.kind != kind or (text is not None and token.text != text):
-            wanted = text or kind
-            raise GrammarSyntaxError(
-                f"expected {wanted}, found {token.text!r}", line=token.line
-            )
-        return token
-
     def _symbol_name(self, token: _Token) -> str:
         if token.kind == "quoted":
             name = _unquote(token.text)

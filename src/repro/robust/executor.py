@@ -11,11 +11,14 @@ without a result), a **hang** (no heartbeat for ``hang_timeout``) or a
 **timeout** (the task outlived its limit). Retry policy stays with the
 callers.
 
-Children ignore SIGINT, so a terminal's ``^C`` reaches only the parent.
-They are stopped by a kill, never by waiting for EOF: every later child
-inherits the parent's end of an earlier worker's pipe, so a worker never
-sees its pipe close. :func:`run_pool` is the synchronous side; the
-service watches :attr:`Worker.fds` from its event loop instead.
+A worker lives on from task to task, so a child first detaches every
+socket it inherited except its own pipe: the other workers' pipes and,
+in the service, the listening socket, open client connections and the
+event loop's self-pipe. Otherwise a client whose connection was open at
+the fork would never see EOF. Children ignore SIGINT, so a terminal's
+``^C`` reaches only the parent, and are stopped by a kill.
+:func:`run_pool` is the synchronous side; the service watches
+:attr:`Worker.fds` from its event loop instead.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 import multiprocessing
 import os
 import signal
+import stat
 import threading
 import time
 from dataclasses import dataclass
@@ -51,48 +55,66 @@ class Outcome:
         return self.failure is None
 
 
-def _serve(conn, parent_end, function, setup, heartbeat) -> None:
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket but *keep* at ``/dev/null``.
+
+    Overwriting instead of closing keeps each descriptor number taken, so
+    a stale socket object the child collects later closes nothing of its
+    own. Plain pipes (process sentinels) and the standard streams stay.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/dev/fd"):
+            fd = int(name)
+            if fd <= 2 or fd in (keep, null):
+                continue
+            try:
+                inherited = stat.S_ISSOCK(os.fstat(fd).st_mode)
+            except OSError:
+                continue  # the listing's own descriptor, closed by now
+            if inherited:
+                os.dup2(null, fd, inheritable=False)
+    finally:
+        os.close(null)
+
+
+def _serve(conn, function, setup, heartbeat) -> None:
     """The child's loop: receive a task, beat while it runs, send its result.
 
-    A worker orphaned by its parent's death (``kill -9``) exits: idle, it
-    sees it was reparented; busy, its send fails.
+    A worker orphaned by its parent's death (``kill -9``) exits: idle, its
+    pipe is at EOF; busy, its send fails.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    parent_end.close()
-    parent = os.getppid()
-    lock = threading.Lock()
-
-    def send(message: tuple[str, Any]) -> None:
-        with lock:
-            conn.send(message)
+    _drop_inherited_sockets(conn.fileno())
 
     def beat(stop: threading.Event) -> None:
         try:
             while True:
-                send(("hb", None))
+                conn.send(("hb", None))
                 if stop.wait(heartbeat):
                     return
         except (OSError, ValueError):
             return  # the parent closed the pipe
 
     while True:
-        while not conn.poll(1.0):
-            if os.getppid() != parent:
-                return
         try:
             task = conn.recv()
-        except EOFError:
+        except (EOFError, OSError):
             return  # the parent is gone
         if setup is not None:
             setup(task)
         stop = threading.Event()
+        beater = None
         if heartbeat is not None:
-            threading.Thread(target=beat, args=(stop,), daemon=True).start()
+            beater = threading.Thread(target=beat, args=(stop,), daemon=True)
+            beater.start()
         result = function(task)
         stop.set()
+        if beater is not None:
+            beater.join()  # no heartbeat trails the result into the next task
         try:
-            send(("result", result))
+            conn.send(("result", result))
         except OSError:
             return  # the parent is gone
 
@@ -121,7 +143,7 @@ class Worker:
         self._conn, child = _CONTEXT.Pipe()
         self.process = _CONTEXT.Process(
             target=_serve,
-            args=(child, self._conn, function, setup, heartbeat),
+            args=(child, function, setup, heartbeat),
             daemon=True,
         )
         self.process.start()
@@ -163,7 +185,9 @@ class Worker:
                 self._last_beat = time.monotonic()
         except (EOFError, OSError):
             closed = True
-        if closed or not self.process.is_alive():
+        # The exit sentinel turns readable a few ms before the pipe's EOF
+        # and before the child can be reaped: either one means a crash.
+        if closed or wait([self.process.sentinel], 0):
             self.process.join(1.0)
             return Outcome(failure="crash", detail=f"exitcode={self.process.exitcode}")
         now = time.monotonic()

@@ -11,7 +11,8 @@ One process, one event loop, four moving parts:
   between the socket and the queue;
 * an asyncio **worker pool** pulling jobs off the queue and running each
   through the :class:`~repro.service.supervisor.WorkerSupervisor`
-  (subprocess isolation, retries, circuit breakers);
+  (subprocess isolation on forked workers kept across jobs, retries,
+  circuit breakers);
 * the **journal** (:mod:`repro.service.journal`): every state change is
   appended before it is acknowledged, so ``kill -9`` at any instant
   loses at most the in-flight line and a restart resumes every
@@ -19,9 +20,10 @@ One process, one event loop, four moving parts:
 
 Submissions carrying an identical fingerprint (grammar + options) while
 a matching job is still live are **coalesced** onto that job instead of
-queued twice; repeat submissions after completion re-run but ride the
-warm automaton cache, which the per-job phase metrics make visible (a
-cache-warm run has no ``automaton`` build span).
+queued twice; repeat submissions after completion re-run, usually on a
+worker kept from an earlier job, and ride the warm automaton cache,
+which the per-job phase metrics make visible (a cache-warm run has no
+``automaton`` build span).
 """
 
 from __future__ import annotations

@@ -1,12 +1,20 @@
 """The worker-pool supervisor: subprocess isolation, retries, breakers.
 
-Each job attempt runs in a **fresh** :class:`~repro.robust.executor.Worker`
-— a forked child, the only isolation that survives a segfault, an OOM
-kill, or a poisoned interpreter — whose outcome is a result, a crash, a
-hang (the worker beats on a side thread, so a wedged analysis is
-detected, not awaited) or a timeout (request budget + slack). The watch
-wakes on the event loop when the worker's pipe turns readable or the
-process exits; the hang and hard-cap deadlines are its only timers.
+Each job attempt runs in a :class:`~repro.robust.executor.Worker` — a
+forked child, the only isolation that survives a segfault, an OOM kill,
+or a poisoned interpreter — whose outcome is a result, a crash, a hang
+(the worker beats on a side thread, so a wedged analysis is detected,
+not awaited) or a timeout (request budget + slack). The watch wakes on
+the event loop when the worker's pipe turns readable or the process
+exits; the hang and hard-cap deadlines are its only timers.
+
+Workers are kept across attempts: after a result that is not a
+transient error the worker goes idle, and the next attempt takes it
+instead of forking. A crash, hang, timeout or transient error stops the
+worker, so the retry runs on a fresh one. The service runs at most
+``--workers`` attempts at once, so no more workers than that are ever
+idle. Each attempt arms its own fault plan (``prepare_attempt`` resets
+the registry), whichever worker runs it.
 
 Crash/hang/timeout are transient: the supervisor retries under a
 :class:`~repro.robust.retry.RetryPolicy` (exponential backoff + seeded
@@ -60,7 +68,7 @@ class WorkerSupervisor:
         self.breakers = breakers if breakers is not None else BreakerBoard()
         self.counters: dict[str, int] = {}
         self._rng = random.Random(0xC0FFEE)
-        self._live: set[Worker] = set()
+        self._idle: list[Worker] = []
 
     # ------------------------------------------------------------------ #
 
@@ -137,8 +145,24 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------ #
 
-    async def _run_attempt(self, payload: Mapping[str, Any]) -> Outcome:
-        """One attempt in a fresh worker, watched to completion or death."""
+    def _start(self, payload: Mapping[str, Any], hard_cap: float) -> Worker:
+        """Hand *payload* to an idle worker, or to a fresh one if none is left.
+
+        An idle worker that died meanwhile (an OOM kill, say) is dropped
+        here, costing the job no attempt: it is seen dead, or its pipe is
+        broken when the payload is sent.
+        """
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.process.is_alive():
+                try:
+                    worker.submit(payload, hard_cap)
+                except OSError:
+                    pass
+                else:
+                    self._count("workers.reused")
+                    return worker
+            worker.stop(reap=False)
         from repro.service.worker import prepare_attempt, run_analysis
 
         worker = Worker(
@@ -147,49 +171,65 @@ class WorkerSupervisor:
             heartbeat=self.config.heartbeat_interval,
             hang_timeout=self.config.hang_timeout,
         )
-        self._live.add(worker)
+        worker.submit(payload, hard_cap)
+        self._count("workers.forked")
+        return worker
+
+    async def _run_attempt(self, payload: Mapping[str, Any]) -> Outcome:
+        """One attempt on a worker, watched to completion or death."""
         options = payload.get("options", {})
         hard_cap = (
             float(options.get("cumulative_limit", 30.0))
             + float(options.get("chaos_sleep_s", 0.0) or 0.0)
             + self.config.hard_timeout_grace
         )
+        worker = self._start(payload, hard_cap)
         # Wake when the pipe has data or EOF, or the process exits; the
         # only timer is the nearer of the hang and hard-cap deadlines.
         # Readers are level-triggered, so data arriving between a check
-        # and the next wait still sets the event.
+        # and the next wait still sets the event. The timer sets the
+        # same event rather than bounding the wait with ``wait_for``,
+        # which can swallow a cancellation that meets a heartbeat.
         loop = asyncio.get_running_loop()
         wake = asyncio.Event()
         watched = worker.fds
         for fd in watched:
             loop.add_reader(fd, wake.set)
+        outcome = None
         try:
-            worker.submit(payload, hard_cap)
             while True:
                 wake.clear()
                 outcome = worker.check()
                 if outcome is not None:
                     return outcome
-                timeout = max(worker.deadline() - time.monotonic(), 0.0)
+                timer = loop.call_later(
+                    max(worker.deadline() - time.monotonic(), 0.0), wake.set
+                )
                 try:
-                    await asyncio.wait_for(wake.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
+                    await wake.wait()
+                finally:
+                    timer.cancel()
         finally:
             for fd in watched:
                 loop.remove_reader(fd)
-            # Usually a worker idle after its result landed: kill it
-            # without waiting, so the loop never blocks on its teardown.
-            worker.stop(reap=False)
-            self._live.discard(worker)
+            if outcome is not None and outcome.ok and (
+                outcome.result.get("ok") or outcome.result.get("permanent")
+            ):
+                self._idle.append(worker)
+            else:
+                if outcome is None:  # cancelled mid-attempt: the shutdown
+                    self._count("workers.killed")
+                # Kill without waiting, so the loop never blocks on the
+                # teardown; the next fork reaps the child.
+                worker.stop(reap=False)
 
     def kill_all(self) -> int:
-        """Hard-stop every live worker (shutdown past the drain deadline)."""
-        killed = sum(worker.process.is_alive() for worker in self._live)
-        for worker in self._live:
+        """Stop the idle workers at shutdown; returns how many workers
+        were killed mid-attempt (by the drain's task cancellation)."""
+        for worker in self._idle:
             worker.stop()
-        self._live.clear()
-        return killed
+        self._idle.clear()
+        return self.counters.get("workers.killed", 0)
 
 
 __all__ = ["SupervisorConfig", "WorkerSupervisor"]

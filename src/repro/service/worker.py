@@ -1,4 +1,4 @@
-"""The analysis worker: one request, one subprocess, one JSON result.
+"""The analysis worker: one request in, one JSON result out.
 
 :func:`run_analysis` is the pure core — request payload in, JSON-ready
 result out — shared by unit tests (in-process) and the supervisor's
@@ -9,8 +9,9 @@ heartbeat:
 * **fault arming**: the payload carries serialized
   :class:`~repro.robust.faults.FaultSpec` entries plus per-point arrival
   offsets (the supervisor passes the job's attempt count), so a
-  ``count``-bounded crash spec fires on exactly the planned attempts
-  even though each attempt is a fresh process;
+  ``count``-bounded crash spec fires on exactly the planned attempts,
+  whether an attempt runs on a fresh worker or on one kept from an
+  earlier job;
 * the ``worker`` injection point at entry translates
   :class:`~repro.robust.faults.InjectedCrash` into ``os._exit(3)`` (a
   genuine hard death — no cleanup, no result) and
@@ -153,9 +154,9 @@ def prepare_attempt(payload: Mapping[str, Any]) -> None:
     """Arm the attempt's fault plan, then pass the ``worker`` injection point.
 
     The registry is reset first: a forked worker inherits the parent's
-    registry (installed specs *and* arrival counts), and the payload's
-    plan — specs plus attempt-seeded arrival offsets — must be the only
-    thing armed here.
+    registry (installed specs *and* arrival counts), a kept worker holds
+    its previous attempt's, and the payload's plan — specs plus
+    attempt-seeded arrival offsets — must be the only thing armed here.
     """
     registry().reset()
     specs = payload.get("faults") or []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -107,6 +108,22 @@ class TestOutcomes:
         assert outcome.failure == "timeout"
         assert outcome.detail == "exceeded hard cap of 0.3s"
         assert 0.3 <= elapsed < 5.0
+
+
+def test_a_socket_open_at_the_fork_is_dropped_in_the_child():
+    # A kept worker must not hold what its parent had open when it forked
+    # (in the service: client connections); the peer sees EOF once the
+    # parent closes its end, while the worker still serves its own pipe.
+    held, peer = socket.socketpair()
+    worker = Worker(abs)
+    held.close()
+    peer.settimeout(10.0)
+    try:
+        assert peer.recv(1) == b""
+    finally:
+        peer.close()
+        outcome, _ = _watch(worker, -3)
+    assert outcome.result == 3
 
 
 class TestCancellation:
